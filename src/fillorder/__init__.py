@@ -9,7 +9,7 @@ from .bruteforce import (
     total_fill,
 )
 from .component import ComponentGraph
-from .sketch import DynamicSketch, new_sketch
+from .sketch import DynamicSketch, SketchEnsemble, new_sketch
 from .exact import delta_capped_min_degree, output_sensitive_min_degree
 from .buckets import ApproxDegreeDS, static_one_degree_quantiles
 from .colcount import (
@@ -26,6 +26,7 @@ __all__ = [
     "ComponentGraph",
     "DynamicSketch",
     "OrderingResult",
+    "SketchEnsemble",
     "StaticGraph",
     "approx_min_degree_sequence",
     "delta_capped_min_degree",

@@ -1,10 +1,12 @@
 """Approximate fill 1-degrees from minimizer-key quantiles.
 
-Maintains k sketch copies over one shared component graph.  For each
-remaining vertex the floor(k(1-1/e))-ranked minimizer key value Q(u)
-concentrates near 1/(deg+1), so vertices can be bucketed by powers of
-(1+eps) of 1/Q and reported as contiguous ranges of a global index
-ordered by Q.
+Maintains k sketch copies over one shared component graph, as one
+array-backed `SketchEnsemble`.  For each remaining vertex the
+floor(k(1-1/e))-ranked minimizer key value Q(u) concentrates near
+1/(deg+1), so vertices can be bucketed by powers of (1+eps) of 1/Q and
+reported as contiguous ranges of a global index ordered by Q.  A pivot
+recomputes Q only for the vertices whose minimum changed in some copy,
+reading their k minimum keys through the ensemble's rank -> draw table.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ import numpy as np
 from sortedcontainers import SortedList
 
 from . import rng as rngmod
-from .component import ComponentGraph
 from .graph import StaticGraph
-from .sketch import DynamicSketch
+from .sketch import SketchEnsemble
 
 QUANTILE_FRACTION = 1.0 - 1.0 / math.e
 
@@ -87,26 +88,10 @@ class ApproxDegreeDS:
         self.eps = eps
         self.k = k if k is not None else sketch_count(g.n, eps)
         self.rank = quantile_rank(self.k)
-        seed = rngmod.normalize_seed(seed)
-        self.cgraph = ComponentGraph(g)
-        self.sketches = [
-            DynamicSketch(self.cgraph, rngmod.substream(seed, rngmod.SKETCH_KEYS, i), index=i)
-            for i in range(self.k)
-        ]
-        self._vals: list[SortedList | None] = [None] * g.n
-        self._cur = [np.empty(g.n, dtype=np.float64) for _ in range(self.k)]
-        self._q = np.empty(g.n, dtype=np.float64)
-        self._index = SortedList()
-        for u in range(g.n):
-            vals = SortedList()
-            for i, s in enumerate(self.sketches):
-                v = s.min_key_float(u)
-                self._cur[i][u] = v
-                vals.add(v)
-            self._vals[u] = vals
-            q = vals[self.rank - 1]
-            self._q[u] = q
-            self._index.add((q, u))
+        self.ensemble = SketchEnsemble(g, rngmod.normalize_seed(seed), self.k)
+        self.cgraph = self.ensemble.cgraph
+        self._q: list[float] = self.ensemble.quantiles(np.arange(g.n), self.rank).tolist()
+        self._index = SortedList(zip(self._q, range(g.n)))
         self.pivots = 0
 
     # ---------------- queries ----------------
@@ -115,9 +100,9 @@ class ApproxDegreeDS:
         return len(self._index)
 
     def quantile(self, u: int) -> float:
-        if self._vals[u] is None:
+        if not self.cgraph.is_remaining(u):
             raise ValueError(f"vertex {u} is not remaining")
-        return float(self._q[u])
+        return self._q[u]
 
     def degree_estimate(self, u: int) -> float:
         """Approximate fill 1-degree: reciprocal of the key quantile."""
@@ -126,29 +111,17 @@ class ApproxDegreeDS:
     # ---------------- updates ----------------
 
     def pivot(self, u: int) -> None:
-        if self._vals[u] is None:
+        if not self.cgraph.is_remaining(u):
             raise ValueError(f"vertex {u} is not remaining")
         self._index.remove((self._q[u], u))
-        self._vals[u] = None
-        self.cgraph.pivot(u, observers=self.sketches)
-        touched = set()
-        for i, s in enumerate(self.sketches):
-            cur = self._cur[i]
-            for y in s.finish_pivot():
-                vals = self._vals[y]
-                if vals is None:
-                    continue
-                new = s.min_key_float(y)
-                vals.remove(cur[y])
-                vals.add(new)
-                cur[y] = new
-                touched.add(y)
-        for y in touched:
-            q = self._vals[y][self.rank - 1]
-            if q != self._q[y]:
-                self._index.remove((self._q[y], y))
-                self._index.add((q, y))
-                self._q[y] = q
+        rows = self.ensemble.pivot(u)
+        if len(rows):
+            qs = self.ensemble.quantiles(rows, self.rank).tolist()
+            for y, q in zip(rows.tolist(), qs):
+                if q != self._q[y]:
+                    self._index.remove((self._q[y], y))
+                    self._index.add((q, y))
+                    self._q[y] = q
         self.pivots += 1
 
     # ---------------- reporting ----------------

@@ -1,9 +1,14 @@
 """Exact lexicographically-first minimum-degree orderings via sketch copies.
 
-Two drivers over an ensemble of key-propagation sketches: a fixed-size
-variant for graphs whose minimum fill degree stays below a cap, and an
-output-sensitive variant that doubles the copy count whenever the
-candidate minimum degree is too large for the current ensemble.
+Two drivers over one array-backed `SketchEnsemble` of key-propagation
+sketches: a fixed-size variant for graphs whose minimum fill degree stays
+below a cap, and an output-sensitive variant that doubles the copy count
+whenever the candidate minimum degree is too large for the current
+ensemble.  New copies are built straight from the shared component
+graph's current state.  A vertex's fill 1-degree is read as the number of
+distinct minimizer ids across copies, through the ensemble's rank ->
+vertex table; it is exact with high probability once k is large against
+the degree.
 """
 
 from __future__ import annotations
@@ -11,13 +16,13 @@ from __future__ import annotations
 import math
 import time
 
+import numpy as np
 from sortedcontainers import SortedList
 
 from . import rng as rngmod
-from .component import ComponentGraph
 from .graph import StaticGraph
 from .result import OrderingResult
-from .sketch import DynamicSketch
+from .sketch import SketchEnsemble
 
 
 def clog2(n: int) -> int:
@@ -25,114 +30,39 @@ def clog2(n: int) -> int:
     return max(1, math.ceil(math.log2(n))) if n > 1 else 1
 
 
-class SketchEnsemble:
-    """Sketch copies grouped by creation batch.
-
-    Every batch owns a private component graph replayed through the pivot
-    history, so later batches (from output-sensitive doubling) see exactly
-    the same partially eliminated state without disturbing earlier copies.
-    """
-
-    def __init__(self, g: StaticGraph, seed: int):
-        self.g = g
-        self.seed = seed
-        self.groups: list[tuple[ComponentGraph, list[DynamicSketch]]] = []
-        self.sketches: list[DynamicSketch] = []
-        self.history: list[int] = []
-
-    @property
-    def k(self) -> int:
-        return len(self.sketches)
-
-    def add_copies(self, count: int) -> list[DynamicSketch]:
-        start = len(self.sketches)
-        cg = ComponentGraph(self.g)
-        batch = [
-            DynamicSketch(cg, rngmod.substream(self.seed, rngmod.SKETCH_KEYS, i), index=i)
-            for i in range(start, start + count)
-        ]
-        for v in self.history:
-            cg.pivot(v, observers=batch)
-            for s in batch:
-                s.finish_pivot()
-        self.groups.append((cg, batch))
-        self.sketches.extend(batch)
-        return batch
-
-    def pivot(self, v: int) -> list[tuple[DynamicSketch, list[int]]]:
-        out = []
-        for cg, batch in self.groups:
-            cg.pivot(v, observers=batch)
-            for s in batch:
-                out.append((s, s.finish_pivot()))
-        self.history.append(v)
-        return out
-
-    def aggregate_counters(self) -> dict[str, int]:
-        agg: dict[str, int] = {}
-        for s in self.sketches:
-            for name, val in s.counters.items():
-                agg["sketch_" + name] = agg.get("sketch_" + name, 0) + val
-        return agg
-
-
 class MinimizerTable:
-    """Distinct-minimizer counts per vertex across an ensemble, with a
-    global index ordered by (distinct count, vertex id)."""
+    """Distinct-minimizer counts per remaining vertex across the copies of
+    an ensemble, with a global index ordered by (distinct count, vertex
+    id).  Counts are recomputed only for the rows a pivot changed."""
 
-    def __init__(self, sketches: list[DynamicSketch], vertices: list[int]):
-        self._counts: dict[int, dict[int, int]] = {u: {} for u in vertices}
-        self._cur: dict[int, dict[int, int]] = {}
-        self._index = SortedList()
-        for u in vertices:
-            self._index.add((0, u))
-        self._live = set(vertices)
-        self.add_sketches(sketches)
+    def __init__(self, ens: SketchEnsemble, vertices):
+        self._ens = ens
+        self._distinct = dict.fromkeys(vertices, 0)
+        self._index = SortedList((0, u) for u in self._distinct)
+        self.add_sketches()
 
-    def add_sketches(self, sketches: list[DynamicSketch]) -> None:
-        for s in sketches:
-            cur: dict[int, int] = {}
-            self._cur[s.index] = cur
-            for u in self._live:
-                mz = s.query_min(u)
-                cur[u] = mz
-                self._bump(u, mz, +1)
+    def add_sketches(self) -> None:
+        """Recount every live row, after the ensemble gained copies."""
+        self.apply_changes(np.fromiter(self._distinct, dtype=np.intp))
 
-    def _bump(self, u: int, mz: int, delta: int) -> None:
-        counts = self._counts[u]
-        old_distinct = len(counts)
-        c = counts.get(mz, 0) + delta
-        if c:
-            counts[mz] = c
-        else:
-            del counts[mz]
-        new_distinct = len(counts)
-        if new_distinct != old_distinct:
-            self._index.remove((old_distinct, u))
-            self._index.add((new_distinct, u))
-
-    def apply_changes(self, sketch: DynamicSketch, changed: list[int]) -> None:
-        cur = self._cur[sketch.index]
-        for y in changed:
-            if y not in self._live:
-                continue
-            new = sketch.query_min(y)
-            old = cur[y]
-            if new == old:
-                continue
-            self._bump(y, old, -1)
-            self._bump(y, new, +1)
-            cur[y] = new
+    def apply_changes(self, rows: np.ndarray) -> None:
+        if not len(rows):
+            return
+        mz = np.sort(self._ens.minimizers(rows), axis=1)
+        counts = 1 + np.count_nonzero(mz[:, 1:] != mz[:, :-1], axis=1)
+        distinct = self._distinct
+        for u, d in zip(rows.tolist(), counts.tolist()):
+            old = distinct[u]
+            if d != old:
+                self._index.remove((old, u))
+                self._index.add((d, u))
+                distinct[u] = d
 
     def remove_vertex(self, u: int) -> None:
-        self._index.remove((len(self._counts[u]), u))
-        del self._counts[u]
-        self._live.discard(u)
-        for cur in self._cur.values():
-            cur.pop(u, None)
+        self._index.remove((self._distinct.pop(u), u))
 
     def distinct(self, u: int) -> int:
-        return len(self._counts[u])
+        return self._distinct[u]
 
     def global_min(self) -> tuple[int, int]:
         """(distinct count, vertex) of the lexicographically-first minimum."""
@@ -149,9 +79,8 @@ def delta_capped_min_degree(g: StaticGraph, delta: int, seed: int) -> OrderingRe
     seed = rngmod.normalize_seed(seed)
     t0 = time.perf_counter()
     k = 10 * (delta + 1) * clog2(g.n)
-    ens = SketchEnsemble(g, seed)
-    ens.add_copies(k)
-    table = MinimizerTable(ens.sketches, list(range(g.n)))
+    ens = SketchEnsemble(g, seed, k)
+    table = MinimizerTable(ens, range(g.n))
     order: list[int] = []
     reported: list[int] = []
     for _ in range(g.n):
@@ -159,9 +88,8 @@ def delta_capped_min_degree(g: StaticGraph, delta: int, seed: int) -> OrderingRe
         order.append(u)
         reported.append(distinct - 1)
         table.remove_vertex(u)
-        for sketch, changed in ens.pivot(u):
-            table.apply_changes(sketch, changed)
-    counters = {"k": k, **ens.aggregate_counters()}
+        table.apply_changes(ens.pivot(u))
+    counters = {"k": k, **ens.sketch_counters()}
     return OrderingResult(order, reported, "delta-capped", seed, counters,
                           time.perf_counter() - t0)
 
@@ -175,9 +103,8 @@ def output_sensitive_min_degree(g: StaticGraph, seed: int) -> OrderingResult:
     t0 = time.perf_counter()
     n = g.n
     c = max(1, min(g.degree(v) for v in range(n)))
-    ens = SketchEnsemble(g, seed)
-    ens.add_copies(10 * c * clog2(n))
-    table = MinimizerTable(ens.sketches, list(range(n)))
+    ens = SketchEnsemble(g, seed, 10 * c * clog2(n))
+    table = MinimizerTable(ens, range(n))
     order: list[int] = []
     reported: list[int] = []
     doublings = 0
@@ -190,13 +117,13 @@ def output_sensitive_min_degree(g: StaticGraph, seed: int) -> OrderingResult:
             doublings += 1
             want = 10 * c * clog2(n)
             if want > ens.k:
-                table.add_sketches(ens.add_copies(want - ens.k))
+                ens.add_copies(want - ens.k)
+                table.add_sketches()
         order.append(u)
         reported.append(distinct - 1)
         table.remove_vertex(u)
-        for sketch, changed in ens.pivot(u):
-            table.apply_changes(sketch, changed)
+        table.apply_changes(ens.pivot(u))
     counters = {"k": ens.k, "final_c": c, "doublings": doublings,
-                **ens.aggregate_counters()}
+                **ens.sketch_counters()}
     return OrderingResult(order, reported, "output-sensitive", seed, counters,
                           time.perf_counter() - t0)

@@ -1,28 +1,56 @@
-"""One key-propagation sketch copy over a component graph.
+"""Key-propagation sketches over a component graph.
 
-Every vertex gets a random key; each remaining vertex tracks the minimum
-key over its closed fill neighborhood.  Keys are packed as
-(draw << VID_BITS) | vertex_id so comparisons are lexicographic with a
-vertex-id tiebreak and the minimizer id can be unpacked from the minimum.
+Every vertex gets a random key per sketch copy; each remaining vertex
+tracks, per copy, the minimum key over its closed fill neighborhood.
 
-Per remaining vertex u, `fill[u]` keeps one slot per contributor: u
-itself, each remaining neighbor, and each adjacent component (whose slot
-holds the minimum key over that component's remaining neighborhood).
-Pivots propagate slot updates eagerly through the observer callbacks of
-ComponentGraph; the set of vertices whose minimum changed during a pivot
-is reported back to the caller.
+`SketchEnsemble` holds k copies as three (n, k) int32 arrays over one
+shared component graph:
+
+  key[v, i]    rank of v's key in copy i; keys are ordered by (draw,
+               vertex id), so a stable argsort of copy i's draws gives
+               the ranks
+  fill[u, i]   minimum key rank over u's closed fill neighborhood, for
+               every remaining vertex u
+  comp[x, i]   minimum key rank over Nrem(x), for every live component x
+
+plus two rank tables, rank -> draw (as a float in (0, 1)) for quantiles
+and rank -> vertex id for minimizers.  Pivoting v changes the fill
+neighborhood only of the vertices in Nrem(c), c the merged component:
+each gains Nrem(c) and loses v.  So comp[c] is the minimum of key over
+Nrem(c) and each such row becomes min(fill row, comp[c]), except in a
+copy whose old minimum was v's own key, where that entry is recomputed
+from {u} | Nrem(u) and comp over Ncomp(u).  Any other old minimum
+belongs to a vertex still in the neighborhood, and every new member lies
+in Nrem(c), whose minimum is comp[c].  Nrem(c) is Nrem(v) plus
+Nrem(w) - {v} for each component w adjacent to v, and a row of Nrem(w)
+already holds at most comp[w]; so the rows of Nrem(w) are read only if
+comp[w] was v's key or exceeds comp[c] in some copy.
+
+`DynamicSketch` is one copy kept the per-copy way: keys packed as
+(draw << VID_BITS) | vertex_id, one slot per contributor per remaining
+vertex (u itself, each remaining neighbor, each adjacent component),
+propagated eagerly through the observer callbacks of ComponentGraph.  It
+is the reference the ensemble is tested against and backs `new_sketch`;
+its key packing limits it to n < 2^VID_BITS.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
+from . import rng as rngmod
 from .component import ComponentGraph
+from .graph import StaticGraph
 from .minstruct import LazyMinHeap, SourceMinMap
 
 VID_BITS = 20
 VID_MASK = (1 << VID_BITS) - 1
 _KEY_SCALE = float(2**64)
+RANK_LIMIT = 2**31 - 1
+# gathered entries per block when minima are reduced over index groups
+_GATHER_BLOCK = 1 << 22
 
 
 class DynamicSketch:
@@ -182,3 +210,219 @@ class DynamicSketch:
 def new_sketch(g, rng, index: int = 0) -> DynamicSketch:
     """Fresh sketch copy with a private component graph."""
     return DynamicSketch(ComponentGraph(g), rng, index=index)
+
+
+def _group_min(src: np.ndarray, groups) -> np.ndarray:
+    """Row-wise minimum of `src` over each nonempty index group, one
+    output row per group, gathering a bounded block at a time."""
+    out = np.empty((len(groups), src.shape[1]), dtype=src.dtype)
+    sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    ends = np.cumsum(sizes)
+    budget = max(1, _GATHER_BLOCK // max(1, src.shape[1]))
+    start = 0
+    while start < len(groups):
+        base = ends[start] - sizes[start]
+        stop = max(start + 1, int(np.searchsorted(ends, base + budget, side="right")))
+        flat = np.fromiter(itertools.chain.from_iterable(groups[start:stop]),
+                           dtype=np.intp, count=ends[stop - 1] - base)
+        out[start:stop] = np.minimum.reduceat(src[flat], ends[start:stop] - sizes[start:stop] - base,
+                                              axis=0)
+        start = stop
+    return out
+
+
+def _pair_min(src: np.ndarray, groups, group_of: np.ndarray,
+              col_of: np.ndarray) -> tuple[np.ndarray, int]:
+    """For each pair p, the minimum of column col_of[p] of `src` over the
+    rows in groups[group_of[p]], which must be nonempty; also returns the
+    number of entries read."""
+    sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    flat = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp,
+                       count=int(sizes.sum()))
+    first = np.cumsum(sizes) - sizes
+    psize = sizes[group_of]
+    pstart = np.cumsum(psize) - psize
+    pair = np.repeat(np.arange(len(group_of)), psize)
+    at = first[group_of][pair] + np.arange(len(pair)) - pstart[pair]
+    return np.minimum.reduceat(src[flat[at], col_of[pair]], pstart), len(pair)
+
+
+def _rows_of(vertices, drop: int = -1) -> np.ndarray:
+    """A sorted vertex collection as an index array, without `drop`."""
+    rows = np.fromiter(vertices, dtype=np.intp, count=len(vertices))
+    return rows[rows != drop] if drop >= 0 else rows
+
+
+class SketchEnsemble:
+    """k key-propagation sketch copies over one shared component graph,
+    stored as arrays (see the module docstring).  Copy i draws its keys
+    from the substream (seed, SKETCH_KEYS, i), as `DynamicSketch` does."""
+
+    def __init__(self, g: StaticGraph, seed: int, k: int = 0):
+        if g.n > RANK_LIMIT:
+            raise ValueError(f"graph too large for int32 key ranks (n > {RANK_LIMIT})")
+        self.cgraph = ComponentGraph(g)
+        self.seed = seed
+        n = g.n
+        self._key = np.empty((n, 0), dtype=np.int32)
+        self._fill = np.empty((n, 0), dtype=np.int32)
+        self._comp = np.empty((n, 0), dtype=np.int32)
+        self._draw = np.empty((n, 0), dtype=np.float64)
+        self._vertex = np.empty((n, 0), dtype=np.int32)
+        self._cols = np.arange(0)
+        self._updates = 0
+        self._informs = 0
+        self._changed = 0
+        if k:
+            self.add_copies(k)
+
+    @property
+    def k(self) -> int:
+        return self._key.shape[1]
+
+    # ---------------- copies ----------------
+
+    def add_copies(self, count: int) -> range:
+        """Append `count` copies whose minima are built from the shared
+        graph's current state; returns their indices."""
+        cg = self.cgraph
+        n, first = cg.n, self.k
+        key = np.empty((n, count), dtype=np.int32)
+        draw = np.empty((n, count), dtype=np.float64)
+        vertex = np.empty((n, count), dtype=np.int32)
+        ranks = np.arange(n, dtype=np.int32)
+        for j in range(count):
+            rng = rngmod.substream(self.seed, rngmod.SKETCH_KEYS, first + j)
+            # keys stay in (0, 1): a zero key would break quantile reciprocals
+            draws = rng.integers(1, 2**64, size=n, dtype=np.uint64)
+            by_key = np.argsort(draws, kind="stable")
+            key[by_key, j] = ranks
+            vertex[:, j] = by_key
+            draw[:, j] = draws[by_key] / _KEY_SCALE
+        comp = np.full((n, count), n, dtype=np.int32)
+        live = [x for x in cg.component_vertices() if len(cg.remaining_neighbors(x))]
+        if live:
+            comp[live] = _group_min(key, [cg.remaining_neighbors(x) for x in live])
+        fill = np.full((n, count), n, dtype=np.int32)
+        rows = list(cg.remaining_vertices())
+        if rows:
+            fill[rows] = self._fill_minima(key, comp, rows)
+        self._key = np.hstack((self._key, key))
+        self._fill = np.hstack((self._fill, fill))
+        self._comp = np.hstack((self._comp, comp))
+        self._draw = np.hstack((self._draw, draw))
+        self._vertex = np.hstack((self._vertex, vertex))
+        self._cols = np.arange(self.k)
+        return range(first, first + count)
+
+    def _fill_minima(self, key: np.ndarray, comp: np.ndarray, rows) -> np.ndarray:
+        """Minimum over {u} | Nrem(u) of `key` and over Ncomp(u) of `comp`,
+        recomputed from scratch for each remaining vertex u in `rows`."""
+        cg = self.cgraph
+        out = _group_min(key, [[u, *cg.remaining_neighbors(u)] for u in rows])
+        ncomp = [cg.component_neighbors(u) for u in rows]
+        with_comp = [i for i, nc in enumerate(ncomp) if nc]
+        if with_comp:
+            cmin = _group_min(comp, [ncomp[i] for i in with_comp])
+            out[with_comp] = np.minimum(out[with_comp], cmin)
+        return out
+
+    # ---------------- updates ----------------
+
+    def pivot(self, v: int) -> np.ndarray:
+        """Eliminate v on the shared component graph.  Returns the
+        remaining vertices, ascending, whose minimum changed in some copy."""
+        cg = self.cgraph
+        nc = list(cg.component_neighbors(v))
+        if not self.k:
+            cg.pivot(v)
+            return np.empty(0, dtype=np.intp)
+        kv = self._key[v]
+        # Nrem(c) is Nrem(v) plus Nrem(w) - {v} for each adjacent component
+        # w.  A row of Nrem(w) already holds at most comp[w], so it needs a
+        # look only where comp[w] was v's key or exceeds the merged minimum.
+        own = _rows_of(cg.remaining_neighbors(v))
+        cmin = self._rows_min(own)
+        reads = self.k * len(own)
+        parts = []
+        for w in nc:
+            wrows = None
+            wmin = self._comp[w]
+            if (wmin == kv).any():
+                wrows = _rows_of(cg.remaining_neighbors(w), drop=v)
+                wmin = self._rows_min(wrows)
+                reads += self.k * len(wrows)
+            parts.append((w, wrows, wmin))
+            cmin = np.minimum(cmin, wmin)
+        touched = [own]
+        for w, wrows, wmin in parts:
+            if wrows is not None:
+                touched.append(wrows)
+            elif (wmin > cmin).any():
+                touched.append(_rows_of(cg.remaining_neighbors(w), drop=v))
+        c = cg.pivot(v)
+        self._comp[c] = cmin
+        rows = np.unique(np.concatenate(touched))
+        old = self._fill[rows]
+        new = np.minimum(old, cmin)
+        # entries whose old minimum was v's key are recomputed one by one
+        si, sc = np.nonzero(old == kv)
+        if len(si):
+            srows, of_row = np.unique(si, return_inverse=True)
+            ys = rows[srows].tolist()
+            m, r = _pair_min(self._key, [[y, *cg.remaining_neighbors(y)] for y in ys], of_row, sc)
+            reads += r
+            ncomp = [cg.component_neighbors(y) for y in ys]
+            sel = np.flatnonzero(np.fromiter(map(len, ncomp), dtype=np.intp)[of_row])
+            if len(sel):
+                cm, r = _pair_min(self._comp, ncomp, of_row[sel], sc[sel])
+                m[sel] = np.minimum(m[sel], cm)
+                reads += r
+            new[si, sc] = m
+        self._fill[rows] = new
+        changed = new != old
+        self._updates += reads
+        self._informs += self.k * len(rows)
+        self._changed += int(np.count_nonzero(changed))
+        return rows[changed.any(axis=1)]
+
+    def _rows_min(self, rows: np.ndarray) -> np.ndarray:
+        """Minimum key rank over `rows` per copy; n when `rows` is empty."""
+        if len(rows):
+            return self._key[rows].min(axis=0)
+        return np.full(self.k, self.cgraph.n, dtype=np.int32)
+
+    # ---------------- queries (rows must be remaining vertices) ----------------
+
+    def _by_rank(self, table: np.ndarray, rows) -> np.ndarray:
+        at = self._fill[rows].astype(np.intp)
+        at *= self.k
+        at += self._cols
+        return table.ravel().take(at)
+
+    def min_key_floats(self, rows) -> np.ndarray:
+        """(len(rows), k) minimum key values, as floats in (0, 1)."""
+        return self._by_rank(self._draw, rows)
+
+    def minimizers(self, rows) -> np.ndarray:
+        """(len(rows), k) ids of the vertices holding the minimum keys."""
+        return self._by_rank(self._vertex, rows)
+
+    def quantiles(self, rows, rank: int) -> np.ndarray:
+        """The rank-th smallest (1-based) minimum key value of each row."""
+        vals = self.min_key_floats(rows)
+        return np.partition(vals, rank - 1, axis=1)[:, rank - 1]
+
+    def sketch_counters(self) -> dict[str, int]:
+        """Work counters summed over copies: `melds`, `pivots` and
+        `changed_total` count what k per-copy sketches would count;
+        `updates` counts key ranks read to rebuild minima and `informs`
+        the fill minima offered a new component minimum."""
+        k, cg = self.k, self.cgraph
+        return {
+            "sketch_updates": self._updates,
+            "sketch_informs": self._informs,
+            "sketch_melds": k * cg.meld_count,
+            "sketch_changed_total": self._changed,
+            "sketch_pivots": k * cg.pivots,
+        }

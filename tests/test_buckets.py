@@ -139,5 +139,5 @@ def test_update_cost_proxy(rng):
     for v in range(25):
         ds.pivot(v)
     log2n = math.ceil(math.log2(25))
-    total_updates = sum(s.counters["updates"] for s in ds.sketches)
+    total_updates = ds.ensemble.sketch_counters()["sketch_updates"]
     assert total_updates <= 50 * g.m * log2n**3 * eps**-2

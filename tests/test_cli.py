@@ -1,8 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from conftest import gnp
+from fillorder.bruteforce import total_fill
 from fillorder.cli import main
+from fillorder.graphio import graph_to_edge_text
+from sketch_reference import ReferenceApproxDegreeDS
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -134,3 +139,42 @@ def test_verify_refused_above_limit(capsys, tmp_path):
     code, _, err = run_cli(capsys, "order", "--input", str(path), "--verify")
     assert code == 2
     assert "2000" in err
+
+
+@pytest.mark.parametrize("algorithm", ["bruteforce", "delta-capped", "output-sensitive", "approx"])
+def test_order_total_fill_matches_replay(capsys, tmp_path, algorithm):
+    g = gnp(40, 0.12, np.random.default_rng(21))
+    path = tmp_path / "g.edges"
+    path.write_text(graph_to_edge_text(g))
+    code, out, _ = run_cli(capsys, "order", "--input", str(path),
+                           "--algorithm", algorithm, "--seed", "3")
+    assert code == 0
+    report = json.loads(out)
+    assert report["total_fill"] == total_fill(g, report["order"])
+
+
+def test_estimate_buckets_pinned_to_reference(capsys, tmp_path):
+    g = gnp(60, 0.08, np.random.default_rng(22))
+    path = tmp_path / "g.edges"
+    path.write_text(graph_to_edge_text(g))
+    eliminate = [5, 17, 3, 40, 22]
+    code, out, _ = run_cli(capsys, "estimate", "--input", str(path), "--mode", "buckets",
+                           "--eliminate", ",".join(map(str, eliminate)),
+                           "--epsilon", "0.25", "--sketches", "40", "--seed", "4")
+    assert code == 0
+    ref = ReferenceApproxDegreeDS(g, 0.25, seed=4, k=40)
+    for v in eliminate:
+        ref.pivot(v)
+    assert json.loads(out) == {
+        "schema": 1,
+        "mode": "buckets",
+        "eliminated": eliminate,
+        "epsilon": 0.25,
+        "seed": 4,
+        "sketches": 40,
+        "buckets": [
+            {"bucket": b.bucket_id, "vertices": list(b),
+             "range": [1.25 ** -(b.bucket_id + 1), 1.25 ** -b.bucket_id]}
+            for b in ref.report().buckets
+        ],
+    }
