@@ -124,7 +124,8 @@ def test_isolated_and_edgeless_pivots():
     g = from_edges(5, [(0, 1)])
     ens = SketchEnsemble(g, 3, 4)
     assert ens.pivot(4).tolist() == []
-    assert ens.pivot(0).tolist() in ([], [1])
+    held_by_0 = bool((ens.minimizers([1]) == 0).any())
+    assert ens.pivot(0).tolist() == ([1] if held_by_0 else [])
     assert ens.minimizers([1]).tolist() == [[1, 1, 1, 1]]
 
 
