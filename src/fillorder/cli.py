@@ -96,9 +96,13 @@ def _cmd_order(args) -> int:
         raise _CliError(EXIT_FLAGS, f"unknown algorithm {args.algorithm}")
     wall = time.perf_counter() - t0
     c = result.counters
-    if args.algorithm != "approx" or c["label_evals"] == c["estimator_calls"] == 0:
-        # every reported degree is a fill degree at elimination, and each
-        # edge of the filled graph is counted once, at its earlier endpoint
+    if args.algorithm == "bruteforce" or (
+            args.algorithm == "approx" and c["label_evals"] == c["estimator_calls"] == 0):
+        # every reported degree is a fill degree computed exactly at
+        # elimination, and each edge of the filled graph is counted once,
+        # at its earlier endpoint.  The sketch drivers' degrees are
+        # minimizer counts, exact only with high probability and only
+        # below the copy budget, so their fill is replayed.
         fill = sum(result.reported_degree) - g.m
     else:
         fill = total_fill(g, result.order)

@@ -35,6 +35,9 @@ class ComponentGraph:
         self._ncomp: list[SortedList | None] = [SortedList() for _ in range(n)]
         self._vrem = SortedList(range(n))
         self._vcomp: SortedList = SortedList()
+        # Nrem(x) as a set for components x used as the base of an exact
+        # fill-degree evaluation; dropped wherever Nrem(x) changes
+        self._nrem_sets: dict[int, set[int]] = {}
         self.pivots = 0
         self.meld_count = 0
 
@@ -110,7 +113,26 @@ class ComponentGraph:
         return out
 
     def fill_degree_exact(self, u: int) -> int:
-        return len(self.fill_neighborhood(u))
+        """Size of the fill neighborhood of u.  The largest adjacent
+        component's remaining neighborhood is kept as a set until a pivot
+        changes it, so evaluations that share a large component scan it
+        once, not once each."""
+        if not self._remaining[u]:
+            raise ValueError(f"vertex {u} is not remaining")
+        nrem = self._nrem
+        comps = self._ncomp[u]
+        if not comps:
+            return len(nrem[u])
+        base = max(comps, key=lambda x: len(nrem[x]))
+        covered = self._nrem_sets.get(base)
+        if covered is None:
+            covered = self._nrem_sets[base] = set(nrem[base])
+        extra = set(nrem[u])
+        for x in comps:
+            if x != base:
+                extra.update(nrem[x])
+        # u lies in Nrem(base): counted once in `covered`, then taken off
+        return len(covered) + len(extra.difference(covered)) - 1
 
     def fill_eval_cost(self, u: int) -> int:
         """Endpoint count touched by an exact fill-degree evaluation of u."""
@@ -141,6 +163,7 @@ class ComponentGraph:
             self._nrem[y].remove(v)
         for w in nc:
             self._nrem[w].remove(v)
+            self._nrem_sets.pop(w, None)
 
         self._remaining[v] = 0
         self._vrem.remove(v)
@@ -169,6 +192,8 @@ class ComponentGraph:
             winner, loser = b, a
         for obs in observers:
             obs.on_meld(winner, loser, self._nrem[winner], self._nrem[loser])
+        self._nrem_sets.pop(winner, None)
+        self._nrem_sets.pop(loser, None)
 
         wset = self._nrem[winner]
         for y in self._nrem[loser]:
@@ -197,4 +222,6 @@ class ComponentGraph:
             assert self._ncomp[x] is None
             for y in self._nrem[x]:
                 assert self._remaining[y] and x in self._ncomp[y]
+        for x, s in self._nrem_sets.items():
+            assert self._nrem[x] is not None and s == set(self._nrem[x])
         assert self.stored_endpoints() <= 2 * self.origin.m

@@ -77,39 +77,6 @@ def decay_scale(eps: float, n: int) -> float:
     return min(eps / (2.0 * clog2(n)), 1.0 / 64.0)
 
 
-class ExactFillDegrees:
-    """Exact fill degrees on a component graph, equal to
-    `fill_degree_exact`.  Each component's remaining neighborhood is kept
-    as a set until a pivot merges that component, so the evaluations that
-    share a large component scan it once, not once each."""
-
-    def __init__(self, cg):
-        self.cg = cg
-        self._sets: dict[int, set[int]] = {}
-
-    def __call__(self, u: int) -> int:
-        cg = self.cg
-        comps = cg.component_neighbors(u)
-        if not comps:
-            return len(cg.remaining_neighbors(u))
-        base = max(comps, key=lambda x: len(cg.remaining_neighbors(x)))
-        covered = self._sets.get(base)
-        if covered is None:
-            covered = self._sets[base] = set(cg.remaining_neighbors(base))
-        extra = set(cg.remaining_neighbors(u))
-        for x in comps:
-            if x != base:
-                extra.update(cg.remaining_neighbors(x))
-        # u lies in Nrem(base): counted once in `covered`, then taken off
-        return len(covered) + len(extra.difference(covered)) - 1
-
-    def forget_merged(self, u: int) -> None:
-        """Drop the sets of the components that pivoting u will merge;
-        no other component's remaining neighborhood changes."""
-        for x in self.cg.component_neighbors(u):
-            self._sets.pop(x, None)
-
-
 def _sketch_budget(n: int, m: int) -> int:
     """Practical cap on sketch copies so full runs stay near-linear in m."""
     cost = max(1, m) * clog2(max(n, 2))
@@ -151,7 +118,6 @@ def approx_min_degree_sequence(
         sketch_count(n, eps_hat), _sketch_budget(n, g.m))
     ds = ApproxDegreeDS(g, eps_hat, seed, k=k)
     cg = ds.cgraph
-    fill_degree = ExactFillDegrees(cg)
     base = 1.0 + eps_hat
 
     if candidate_window is None:
@@ -197,7 +163,7 @@ def approx_min_degree_sequence(
             if cg.fill_eval_cost(v) <= eval_budget:
                 # exact fill 1-degree: deterministic, so trivially
                 # independent of the sketch randomness
-                est = float(fill_degree(v) + 1)
+                est = float(cg.fill_degree_exact(v) + 1)
                 counters["exact_evals"] += 1
             elif est_eps is not None:
                 est = estimate_fill_1degree(
@@ -213,7 +179,6 @@ def approx_min_degree_sequence(
         _, u, est_u = best
         order.append(u)
         reported.append(max(0, int(round(est_u)) - 1))
-        fill_degree.forget_merged(u)
         ds.pivot(u)
 
     counters.update(ds.ensemble.sketch_counters())

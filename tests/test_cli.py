@@ -6,6 +6,7 @@ import pytest
 from conftest import gnp
 from fillorder.bruteforce import total_fill
 from fillorder.cli import main
+from fillorder.graph import complete_graph
 from fillorder.graphio import graph_to_edge_text
 from sketch_reference import ReferenceApproxDegreeDS
 
@@ -151,6 +152,19 @@ def test_order_total_fill_matches_replay(capsys, tmp_path, algorithm):
     assert code == 0
     report = json.loads(out)
     assert report["total_fill"] == total_fill(g, report["order"])
+
+
+def test_order_total_fill_with_undersized_delta(capsys, tmp_path):
+    # delta = 1 on K50 gives too few copies to see every closed neighbour,
+    # so the reported degrees undercount; the fill must still be exact
+    path = tmp_path / "k50.edges"
+    path.write_text(graph_to_edge_text(complete_graph(50)))
+    code, out, _ = run_cli(capsys, "order", "--input", str(path),
+                           "--algorithm", "delta-capped", "--delta", "1", "--seed", "3")
+    assert code == 0
+    report = json.loads(out)
+    assert sum(report["reported_degree"]) - report["m"] < 0
+    assert report["total_fill"] == total_fill(complete_graph(50), report["order"]) == 0
 
 
 def test_estimate_buckets_pinned_to_reference(capsys, tmp_path):

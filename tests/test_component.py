@@ -119,6 +119,19 @@ def test_fill_neighborhood_matches_bruteforce_random(rng):
         cg.check_invariants()
 
 
+def test_fill_degree_exact_matches_fill_neighborhood_across_pivots(rng):
+    # every remaining vertex is evaluated after every pivot, so cached
+    # component sets live through pivots that do and do not change them
+    for _ in range(5):
+        g = gnp(40, 0.1, rng)
+        cg = ComponentGraph(g)
+        for v in rng.permutation(40):
+            for u in cg.remaining_vertices():
+                assert cg.fill_degree_exact(u) == len(cg.fill_neighborhood(u))
+            cg.check_invariants()
+            cg.pivot(int(v))
+
+
 def test_endpoint_budget_never_exceeded(rng):
     g = gnp(30, 0.25, rng)
     cg = ComponentGraph(g)

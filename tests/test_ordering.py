@@ -5,10 +5,8 @@ import pytest
 
 from conftest import gnp
 from fillorder.bruteforce import greedy_degree_trace
-from fillorder.component import ComponentGraph
 from fillorder.graph import complete_graph, path_graph
 from fillorder.ordering import (
-    ExactFillDegrees,
     approx_min_degree_sequence,
     decay_scale,
     exp_decayed_candidates,
@@ -218,15 +216,3 @@ def test_trim_keeps_exact_degree_minimizer(rng):
         best = min(candidates, key=lambda c: ((1 - c.delta) * exact[c.vertex], c.vertex))
         assert any(s.vertex == best.vertex and s.delta == best.delta for s in survivors)
         ds.pivot(best.vertex)
-
-
-def test_exact_fill_degrees_match_component_graph(rng):
-    for trial in range(5):
-        g = gnp(40, 0.1, rng)
-        cg = ComponentGraph(g)
-        fill_degree = ExactFillDegrees(cg)
-        for v in rng.permutation(40):
-            for u in cg.remaining_vertices():
-                assert fill_degree(u) == cg.fill_degree_exact(u)
-            fill_degree.forget_merged(int(v))
-            cg.pivot(int(v))
