@@ -21,6 +21,9 @@ from .graph import StaticGraph
 from .sketch import SketchEnsemble
 
 QUANTILE_FRACTION = 1.0 - 1.0 / math.e
+# copies drawn per batch by `static_one_degree_quantiles`; the draw order
+# follows it, so changing it changes seeded quantiles
+_QUANTILE_BLOCK = 2048
 
 
 def sketch_count(n: int, eps: float) -> int:
@@ -62,21 +65,8 @@ class BucketReport:
     """Partition of the remaining vertices into degree buckets, ascending
     by bucket id (low approximate degree first)."""
 
-    def __init__(self, buckets: list[_BucketView], truncated: bool):
+    def __init__(self, buckets: list[_BucketView]):
         self.buckets = buckets
-        self.truncated = truncated
-
-    def bucket_ids(self) -> list[int]:
-        return [b.bucket_id for b in self.buckets]
-
-    def members(self, bucket_id: int) -> _BucketView:
-        for b in self.buckets:
-            if b.bucket_id == bucket_id:
-                return b
-        raise KeyError(bucket_id)
-
-    def first_nonempty(self) -> int:
-        return self.buckets[0].bucket_id
 
 
 class ApproxDegreeDS:
@@ -143,21 +133,18 @@ class ApproxDegreeDS:
         i = max(0, int(-math.log(q_top) / math.log(base)) - 2)
         while base ** (-(i + 1)) > q_top:
             i += 1
-        while stop > 0:
-            if max_buckets is not None and len(buckets) >= max_buckets:
-                return BucketReport(buckets, truncated=True)
+        while stop > 0 and (max_buckets is None or len(buckets) < max_buckets):
             lo = base ** (-(i + 1))
             start = sl.bisect_left((lo,))
             if start < stop:
                 buckets.append(_BucketView(sl, start, stop, i))
             stop = start
             i += 1
-        return BucketReport(buckets, truncated=False)
+        return BucketReport(buckets)
 
 
 def static_one_degree_quantiles(g: StaticGraph, eps: float, seed: int,
-                                k: int | None = None,
-                                block: int = 2048) -> np.ndarray:
+                                k: int | None = None) -> np.ndarray:
     """Q(u) for every vertex of the un-eliminated graph, computed with
     vectorized key draws instead of materializing sketch structures.
 
@@ -174,7 +161,7 @@ def static_one_degree_quantiles(g: StaticGraph, eps: float, seed: int,
     minvals = np.empty((k, n), dtype=np.float64)
     done = 0
     while done < k:
-        b = min(block, k - done)
+        b = min(_QUANTILE_BLOCK, k - done)
         keys = rng.integers(1, 2**64, size=(b, n), dtype=np.uint64).astype(np.float64) / 2.0**64
         for u in range(n):
             minvals[done:done + b, u] = keys[:, closed[u]].min(axis=1)

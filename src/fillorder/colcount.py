@@ -5,7 +5,10 @@ remaining neighborhoods of its component neighbors plus its own closed
 remaining neighborhood.  Writing those sets as rows of an implicit 0/1
 matrix, the fill 1-degree equals the number of nonzero columns, which is
 estimated by sampling with three oracle operations: row sizes, uniform
-draws from a row, and single entry lookups.
+draws from a row, and single entry lookups.  One `DenseOracle` answers
+them for explicit matrices and, through `FillNeighborhoodOracle`, for a
+component graph, whose rows it stores densely over the distinct columns
+that occur in them.
 
 All estimators run on a stopping-rule mean estimator: draw from a [0,1]
 distribution until the running sum crosses a threshold, then return
@@ -15,6 +18,7 @@ at the exact crossing point, so results match one-at-a-time sampling.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -91,18 +95,16 @@ class BernoulliDistribution:
 
 
 class DenseOracle:
-    """Oracle over an explicit 0/1 matrix (tests and benchmarks)."""
+    """Oracle over an explicit 0/1 matrix."""
 
     def __init__(self, matrix: np.ndarray, n_ref: int | None = None):
         a = np.asarray(matrix, dtype=bool)
         if a.ndim != 2:
             raise ValueError("matrix must be 2-dimensional")
         self._a = a
-        self.r, self.n_cols = a.shape
-        self.n_ref = n_ref if n_ref is not None else self.n_cols
-        rows, cols = np.nonzero(a)
-        self._flat_rows = rows
-        self._flat_cols = cols
+        self.r = a.shape[0]
+        self.n_ref = n_ref if n_ref is not None else a.shape[1]
+        self._flat_rows, self._flat_cols = np.nonzero(a)
         self.queries = 0
 
     @property
@@ -142,86 +144,28 @@ class DenseOracle:
         return res
 
 
-def iter_sorted_insert(sorted_iterable, extra):
-    """Iterate a sorted iterable with one extra element merged in order."""
-    emitted = False
-    for v in sorted_iterable:
-        if not emitted and extra < v:
-            yield extra
-            emitted = True
-        yield v
-    if not emitted:
-        yield extra
-
-
-class FillNeighborhoodOracle:
-    """Implicit matrix view for one remaining vertex of a component graph.
+class FillNeighborhoodOracle(DenseOracle):
+    """Matrix view of one remaining vertex of a component graph.
 
     Row 0 holds the closed remaining neighborhood of the target vertex;
     each further row is the remaining neighborhood of one component
-    neighbor, in component-id order.  Columns are original vertex ids, so
-    the nonzero column count equals the fill 1-degree."""
+    neighbor, in component-id order.  Only columns that occur in some row
+    are stored, ascending, and `cols` maps a stored column to its vertex
+    id; the nonzero column count equals the fill 1-degree, and `n_ref` is
+    the vertex count, which sets the estimators' log factors."""
 
     def __init__(self, cgraph: ComponentGraph, u: int):
         if not cgraph.is_remaining(u):
             raise ValueError(f"vertex {u} is not remaining")
-        self.n_cols = cgraph.n
-        self.n_ref = cgraph.n
-        rows = [np.fromiter(
-            iter_sorted_insert(cgraph.remaining_neighbors(u), u), dtype=np.int64)]
-        for x in cgraph.component_neighbors(u):
-            rows.append(np.fromiter(cgraph.remaining_neighbors(x), dtype=np.int64,
-                                    count=len(cgraph.remaining_neighbors(x))))
-        self._rows = rows
-        self.r = len(rows)
-        sizes = np.array([len(row) for row in rows], dtype=np.int64)
-        self._flat_cols = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        self._flat_rows = np.repeat(np.arange(self.r), sizes)
-        # probes only ever target columns that occur somewhere in the rows,
-        # so a dense mask over the distinct columns stays small
-        self._cols = np.unique(self._flat_cols)
-        mask = np.zeros((self.r, len(self._cols)), dtype=bool)
-        for i, row in enumerate(rows):
-            mask[i, np.searchsorted(self._cols, row)] = True
-        self._mask = mask
-        self._row_sets = None  # built on demand for arbitrary-column lookups
-        self.queries = 0
-
-    @property
-    def nnz(self) -> int:
-        self.queries += self.r
-        return len(self._flat_cols)
-
-    def row_size(self, i: int) -> int:
-        self.queries += 1
-        return len(self._rows[i])
-
-    def sample_nonzero_batch(self, rng, size: int) -> tuple[np.ndarray, np.ndarray]:
-        self.queries += size
-        t = rng.integers(0, len(self._flat_cols), size=size)
-        return self._flat_rows[t], self._flat_cols[t]
-
-    def query_values(self, rows: np.ndarray, j: int) -> np.ndarray:
-        self.queries += len(rows)
-        if self._row_sets is None:
-            self._row_sets = [set(map(int, row)) for row in self._rows]
-        sets = self._row_sets
-        return np.array([1.0 if int(j) in sets[int(i)] else 0.0 for i in rows])
-
-    def hit_times_batch(self, js: np.ndarray, lim: int, rng) -> np.ndarray:
-        m = len(js)
-        res = np.zeros(m, dtype=np.int64)
-        compact = np.searchsorted(self._cols, js)
-        active = np.arange(m)
-        a = self._mask
-        while active.size:
-            rows = rng.integers(0, self.r, size=active.size)
-            res[active] += 1
-            hit = a[rows, compact[active]]
-            done = hit | (res[active] >= lim)
-            active = active[~done]
-        self.queries += int(res.sum())
-        return res
+        rows = [[u, *cgraph.remaining_neighbors(u)]]
+        rows += [cgraph.remaining_neighbors(x) for x in cgraph.component_neighbors(u)]
+        sizes = [len(row) for row in rows]
+        flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
+                           count=sum(sizes))
+        self.cols, at = np.unique(flat, return_inverse=True)
+        mask = np.zeros((len(rows), len(self.cols)), dtype=bool)
+        mask[np.repeat(np.arange(len(rows)), sizes), at] = True
+        super().__init__(mask, n_ref=cgraph.n)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +253,6 @@ def estimate_nonzero_columns(oracle, eps: float, rng,
     sigma = 5.0 * eps**-2 * _loge(nref)
     mean = estimate_mean(_NormalizedHitTime(oracle, lim), sigma, rng, max_draws)
     return nnz * lim / r * mean
-
-
-def fill_neighborhood_oracle(cgraph: ComponentGraph, u: int) -> FillNeighborhoodOracle:
-    return FillNeighborhoodOracle(cgraph, u)
 
 
 def estimate_fill_1degree(cgraph: ComponentGraph, u: int, eps: float, rng,

@@ -1,14 +1,15 @@
 """Exact lexicographically-first minimum-degree orderings via sketch copies.
 
-Two drivers over one array-backed `SketchEnsemble` of key-propagation
-sketches: a fixed-size variant for graphs whose minimum fill degree stays
-below a cap, and an output-sensitive variant that doubles the copy count
-whenever the candidate minimum degree is too large for the current
-ensemble.  New copies are built straight from the shared component
-graph's current state.  A vertex's fill 1-degree is read as the number of
-distinct minimizer ids across copies, through the ensemble's rank ->
-vertex table; it is exact with high probability once k is large against
-the degree.
+One elimination loop over an array-backed `SketchEnsemble` of
+key-propagation sketches serves two drivers: a fixed-size variant for
+graphs whose minimum fill degree stays below a cap, and an
+output-sensitive variant that doubles the copy count whenever the
+candidate minimum degree is too large for the current ensemble.  New
+copies are built straight from the shared component graph's current
+state.  A vertex's fill 1-degree is read as the number of distinct
+minimizer ids across copies, through the ensemble's rank -> vertex
+table; it is exact with high probability once k is large against the
+degree.
 """
 
 from __future__ import annotations
@@ -69,6 +70,33 @@ class MinimizerTable:
         return self._index[0]
 
 
+def _greedy_min_degree(g: StaticGraph, seed: int, k: int, cap: int | None = None):
+    """Pivot the lexicographically-first minimum of the distinct-minimizer
+    counts, n times.  With a cap c, before each step c doubles (and the
+    ensemble grows to 10 c ceil(log2 n) copies) while the step minimum
+    exceeds c/2 and c < 2n; without one, k stays fixed.  Returns (order,
+    reported degrees, ensemble, final cap, doublings)."""
+    n = g.n
+    ens = SketchEnsemble(g, seed, k)
+    table = MinimizerTable(ens, range(n))
+    order: list[int] = []
+    reported: list[int] = []
+    doublings = 0
+    for _ in range(n):
+        distinct, u = table.global_min()
+        while cap is not None and distinct - 1 > cap / 2 and cap < 2 * n:
+            cap *= 2
+            doublings += 1
+            ens.add_copies(10 * cap * clog2(n) - ens.k)
+            table.add_sketches()
+            distinct, u = table.global_min()
+        order.append(u)
+        reported.append(distinct - 1)
+        table.remove_vertex(u)
+        table.apply_changes(ens.pivot(u))
+    return order, reported, ens, cap, doublings
+
+
 def delta_capped_min_degree(g: StaticGraph, delta: int, seed: int) -> OrderingResult:
     """Exact min-degree ordering assuming every step's minimum fill degree
     is at most `delta`; ties break toward the smallest vertex id."""
@@ -79,16 +107,7 @@ def delta_capped_min_degree(g: StaticGraph, delta: int, seed: int) -> OrderingRe
     seed = rngmod.normalize_seed(seed)
     t0 = time.perf_counter()
     k = 10 * (delta + 1) * clog2(g.n)
-    ens = SketchEnsemble(g, seed, k)
-    table = MinimizerTable(ens, range(g.n))
-    order: list[int] = []
-    reported: list[int] = []
-    for _ in range(g.n):
-        distinct, u = table.global_min()
-        order.append(u)
-        reported.append(distinct - 1)
-        table.remove_vertex(u)
-        table.apply_changes(ens.pivot(u))
+    order, reported, ens, _, _ = _greedy_min_degree(g, seed, k)
     counters = {"k": k, **ens.sketch_counters()}
     return OrderingResult(order, reported, "delta-capped", seed, counters,
                           time.perf_counter() - t0)
@@ -101,28 +120,9 @@ def output_sensitive_min_degree(g: StaticGraph, seed: int) -> OrderingResult:
         raise ValueError("empty graph")
     seed = rngmod.normalize_seed(seed)
     t0 = time.perf_counter()
-    n = g.n
-    c = max(1, min(g.degree(v) for v in range(n)))
-    ens = SketchEnsemble(g, seed, 10 * c * clog2(n))
-    table = MinimizerTable(ens, range(n))
-    order: list[int] = []
-    reported: list[int] = []
-    doublings = 0
-    for _ in range(n):
-        while True:
-            distinct, u = table.global_min()
-            if distinct - 1 <= c / 2 or c >= 2 * n:
-                break
-            c *= 2
-            doublings += 1
-            want = 10 * c * clog2(n)
-            if want > ens.k:
-                ens.add_copies(want - ens.k)
-                table.add_sketches()
-        order.append(u)
-        reported.append(distinct - 1)
-        table.remove_vertex(u)
-        table.apply_changes(ens.pivot(u))
+    c = max(1, min(g.degree(v) for v in range(g.n)))
+    order, reported, ens, c, doublings = _greedy_min_degree(
+        g, seed, 10 * c * clog2(g.n), cap=c)
     counters = {"k": ens.k, "final_c": c, "doublings": doublings,
                 **ens.sketch_counters()}
     return OrderingResult(order, reported, "output-sensitive", seed, counters,

@@ -8,6 +8,10 @@ randomness independent of the sketches, and pivots the minimizer of
 (1 - delta) * estimated 1-degree.  The decay decorrelates the pivot
 choice from the sketch internals; the evaluation draws fresh streams per
 (step, vertex).
+
+The sketch copy count and the candidate window are computed from the
+graph and eps; the candidate, trim, survivor and evaluation limits are
+the module constants below.
 """
 
 from __future__ import annotations
@@ -22,6 +26,16 @@ from .colcount import estimate_fill_1degree
 from .exact import clog2
 from .graph import StaticGraph
 from .result import OrderingResult
+
+# Candidate draws stop below (top order statistic - CANDIDATE_C2).
+CANDIDATE_C2 = 2.0
+# Candidates whose perturbed bucket value exceeds (1 + eps_hat)^TRIM_EXPONENT
+# times the best one are trimmed; at most SURVIVOR_CAP survivors are evaluated.
+TRIM_EXPONENT = 7
+SURVIVOR_CAP = 16
+# A survivor is evaluated exactly when its fill evaluation touches at most
+# this many endpoints; beyond it the label or the sampling estimator is used.
+EVAL_BUDGET = 200_000
 
 
 @dataclass(slots=True)
@@ -88,19 +102,13 @@ def approx_min_degree_sequence(
     eps: float,
     seed: int,
     *,
-    sketches: int | None = None,
-    candidate_c2: float = 2.0,
-    trim_exponent: int = 7,
-    candidate_window: int | None = None,
-    survivor_cap: int = 16,
     estimator_eps: float | None = None,
-    eval_budget: int = 200_000,
 ) -> OrderingResult:
     """Approximate greedy minimum-degree ordering: every pivoted vertex has
     fill degree within (1 + eps) of the step minimum with high probability.
 
     Surviving candidates are evaluated exactly whenever the union of their
-    component neighborhoods fits `eval_budget` endpoint touches (an exact
+    component neighborhoods fits `EVAL_BUDGET` endpoint touches (an exact
     value is deterministic, hence independent of the sketch randomness);
     larger neighborhoods fall back to the quantile label, or to the
     sampling estimator at error `estimator_eps` when one is given.
@@ -113,19 +121,16 @@ def approx_min_degree_sequence(
     seed = rngmod.normalize_seed(seed)
     n = g.n
     eps_hat = decay_scale(eps, n)
-    est_eps = estimator_eps
-    k = sketches if sketches is not None else min(
-        sketch_count(n, eps_hat), _sketch_budget(n, g.m))
+    k = min(sketch_count(n, eps_hat), _sketch_budget(n, g.m))
     ds = ApproxDegreeDS(g, eps_hat, seed, k=k)
     cg = ds.cgraph
     base = 1.0 + eps_hat
 
-    if candidate_window is None:
-        # buckets beyond this window cannot survive the trim: their
-        # perturbed values exceed the threshold even at maximal decay
-        d_max = min(0.75, eps_hat * (candidate_c2 + math.log(4.0 * n) + 10.0))
-        candidate_window = trim_exponent + math.ceil(
-            -math.log(1.0 - d_max) / math.log(base)) + 1
+    # buckets beyond this window cannot survive the trim: their perturbed
+    # values exceed the threshold even at maximal decay
+    d_max = min(0.75, eps_hat * (CANDIDATE_C2 + math.log(4.0 * n) + 10.0))
+    candidate_window = TRIM_EXPONENT + math.ceil(
+        -math.log(1.0 - d_max) / math.log(base)) + 1
 
     order: list[int] = []
     reported: list[int] = []
@@ -145,29 +150,29 @@ def approx_min_degree_sequence(
         for view in report.buckets:
             candidates.extend(
                 exp_decayed_candidates(view, eps_hat, view.bucket_id, crng,
-                                       c2=candidate_c2))
+                                       c2=CANDIDATE_C2))
         counters["candidates_total"] += len(candidates)
 
         trim_value = {id(c): (1.0 - c.delta) * base**c.bucket for c in candidates}
-        threshold = base**trim_exponent * min(trim_value.values())
+        threshold = base**TRIM_EXPONENT * min(trim_value.values())
         survivors = [c for c in candidates
                      if c.bucket == 0 or trim_value[id(c)] <= threshold]
-        if len(survivors) > survivor_cap:
+        if len(survivors) > SURVIVOR_CAP:
             survivors.sort(key=lambda c: (trim_value[id(c)], c.vertex))
-            survivors = survivors[:survivor_cap]
+            survivors = survivors[:SURVIVOR_CAP]
         counters["survivors_total"] += len(survivors)
 
         best = None
         for c in survivors:
             v = c.vertex
-            if cg.fill_eval_cost(v) <= eval_budget:
+            if cg.fill_eval_cost(v) <= EVAL_BUDGET:
                 # exact fill 1-degree: deterministic, so trivially
                 # independent of the sketch randomness
                 est = float(cg.fill_degree_exact(v) + 1)
                 counters["exact_evals"] += 1
-            elif est_eps is not None:
+            elif estimator_eps is not None:
                 est = estimate_fill_1degree(
-                    cg, v, est_eps, rngmod.substream(seed, rngmod.ESTIMATOR, t, v))
+                    cg, v, estimator_eps, rngmod.substream(seed, rngmod.ESTIMATOR, t, v))
                 counters["estimator_calls"] += 1
             else:
                 est = ds.degree_estimate(v)

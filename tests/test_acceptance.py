@@ -350,12 +350,16 @@ def test_criterion_13_amortized_cost_proxy():
 @pytest.mark.slow
 def test_criterion_14_scaling_smoke():
     times = {}
+    evals = {}
     for n in (20000, 40000):
         g = gnp_graph(n, 10.0 / n, np.random.default_rng(114))
         t0 = time.time()
-        approx_min_degree_sequence(g, 0.5, seed=1)
+        r = approx_min_degree_sequence(g, 0.5, seed=1)
         times[g.m] = time.time() - t0
+        c = r.counters
+        evals[g.m] = f"exact {c['exact_evals']}, label {c['label_evals']}"
     (m1, t1), (m2, t2) = sorted(times.items())
     record(14, "scaling smoke",
            t1 < 300 and t2 < 300 and t2 / t1 <= 3,
-           f"m={m1}: {t1:.0f}s, m={m2}: {t2:.0f}s, growth {t2 / t1:.2f}x")
+           f"m={m1}: {t1:.0f}s ({evals[m1]}), m={m2}: {t2:.0f}s ({evals[m2]}), "
+           f"growth {t2 / t1:.2f}x")

@@ -225,5 +225,24 @@ def test_row_layout_of_fill_neighborhood_oracle():
     cg = fig_component_graph()
     o = FillNeighborhoodOracle(cg, 1)
     # row 0: closed remaining neighborhood of v2; row 1: the merged component
-    assert list(o._rows[0]) == [0, 1, 2]
-    assert list(o._rows[1]) == [0, 1, 3, 5]
+    assert list(o.cols[o._a[0]]) == [0, 1, 2]
+    assert list(o.cols[o._a[1]]) == [0, 1, 3, 5]
+
+
+def test_fill_neighborhood_oracle_matches_dense_oracle_on_independent_rows(rng):
+    # the oracle's rows, rebuilt from the component graph's neighbourhood
+    # queries alone, give a DenseOracle with the same estimate and query count
+    for trial in range(30):
+        g, eliminated, u = random_elimination_state(rng)
+        cg = ComponentGraph(g)
+        for v in eliminated:
+            cg.pivot(v)
+        rows = [set(cg.remaining_neighbors(u)) | {u}]
+        rows += [set(cg.remaining_neighbors(x)) for x in cg.component_neighbors(u)]
+        cols = sorted(set().union(*rows))
+        dense = DenseOracle([[c in row for c in cols] for row in rows], n_ref=g.n)
+        o = FillNeighborhoodOracle(cg, u)
+        got = estimate_nonzero_columns(o, 0.5, np.random.default_rng(trial))
+        want = estimate_nonzero_columns(dense, 0.5, np.random.default_rng(trial))
+        assert got == want
+        assert o.queries == dense.queries

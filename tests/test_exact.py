@@ -10,6 +10,7 @@ from fillorder.exact import (
     delta_capped_min_degree,
     output_sensitive_min_degree,
 )
+from fillorder.generators import grid2d_graph
 from fillorder.graph import (
     complete_graph,
     cycle_graph,
@@ -109,3 +110,58 @@ def test_doubling_replay_matches_fresh_sketches():
             if u in (0, 5):
                 continue
             assert ens.minimizers([u])[0, i] == ref.query_min(u)
+
+
+# key_material() of both drivers, recorded before the two drivers were
+# folded into one loop: order, reported degrees and every counter
+PINNED_INSTANCES = {
+    "gnp14": (lambda: gnp(14, 0.35, np.random.default_rng(3)), 6, 11),
+    "grid4x4": (lambda: grid2d_graph(16), 4, 12),
+    "figure": (figure_example_graph, 3, 13),
+}
+PINNED_RUNS = [
+    ("gnp14", "delta-capped",
+     [3, 7, 13, 4, 2, 11, 5, 8, 0, 1, 6, 9, 10, 12],
+     [2, 2, 2, 3, 4, 4, 5, 5, 5, 4, 3, 2, 1, 0],
+     {"k": 280, "sketch_changed_total": 2894, "sketch_informs": 11760,
+      "sketch_melds": 3640, "sketch_pivots": 3920, "sketch_updates": 26984}),
+    ("gnp14", "output-sensitive",
+     [3, 7, 13, 4, 2, 11, 5, 8, 0, 1, 6, 9, 10, 12],
+     [2, 2, 2, 3, 4, 4, 5, 5, 5, 4, 3, 2, 1, 0],
+     {"doublings": 3, "final_c": 16, "k": 640, "sketch_changed_total": 4748,
+      "sketch_informs": 20480, "sketch_melds": 8320, "sketch_pivots": 8960,
+      "sketch_updates": 48895}),
+    ("grid4x4", "delta-capped",
+     [0, 3, 12, 15, 1, 4, 7, 13, 2, 5, 6, 8, 9, 10, 11, 14],
+     [2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 3, 2, 1, 0],
+     {"k": 200, "sketch_changed_total": 2877, "sketch_informs": 8400,
+      "sketch_melds": 3000, "sketch_pivots": 3200, "sketch_updates": 17729}),
+    ("grid4x4", "output-sensitive",
+     [0, 3, 12, 15, 1, 4, 7, 13, 2, 5, 6, 8, 9, 10, 11, 14],
+     [2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 3, 2, 1, 0],
+     {"doublings": 2, "final_c": 8, "k": 320, "sketch_changed_total": 4100,
+      "sketch_informs": 12160, "sketch_melds": 4800, "sketch_pivots": 5120,
+      "sketch_updates": 25788}),
+    ("figure", "delta-capped",
+     [2, 3, 5, 4, 0, 1, 6], [1, 1, 1, 1, 2, 1, 0],
+     {"k": 120, "sketch_changed_total": 263, "sketch_informs": 840,
+      "sketch_melds": 720, "sketch_pivots": 840, "sketch_updates": 1958}),
+    ("figure", "output-sensitive",
+     [2, 3, 5, 4, 0, 1, 6], [1, 1, 1, 1, 2, 1, 0],
+     {"doublings": 2, "final_c": 4, "k": 120, "sketch_changed_total": 192,
+      "sketch_informs": 600, "sketch_melds": 720, "sketch_pivots": 840,
+      "sketch_updates": 1434}),
+]
+
+
+@pytest.mark.parametrize("instance,algorithm,order,reported,counters", PINNED_RUNS)
+def test_exact_drivers_pinned_key_material(instance, algorithm, order, reported,
+                                           counters):
+    make, delta, seed = PINNED_INSTANCES[instance]
+    g = make()
+    if algorithm == "delta-capped":
+        r = delta_capped_min_degree(g, delta, seed)
+    else:
+        r = output_sensitive_min_degree(g, seed)
+    assert r.key_material() == (tuple(order), tuple(reported), algorithm, seed,
+                                tuple(sorted(counters.items())))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import gnp
+from fillorder import ordering
 from fillorder.bruteforce import greedy_degree_trace
 from fillorder.graph import complete_graph, path_graph
 from fillorder.ordering import (
@@ -216,3 +217,23 @@ def test_trim_keeps_exact_degree_minimizer(rng):
         best = min(candidates, key=lambda c: ((1 - c.delta) * exact[c.vertex], c.vertex))
         assert any(s.vertex == best.vertex and s.delta == best.delta for s in survivors)
         ds.pivot(best.vertex)
+
+
+def test_label_fallback_beyond_eval_budget(rng, monkeypatch):
+    # every survivor's fill evaluation exceeds a zero budget, so each one
+    # is judged by its quantile label
+    monkeypatch.setattr(ordering, "EVAL_BUDGET", 0)
+    r = approx_min_degree_sequence(gnp(30, 0.2, rng), 0.5, 3)
+    assert r.counters["label_evals"] > 0
+    assert r.counters["exact_evals"] == 0
+    assert r.counters["estimator_calls"] == 0
+
+
+def test_estimator_fallback_beyond_eval_budget(rng, monkeypatch):
+    monkeypatch.setattr(ordering, "EVAL_BUDGET", 0)
+    g = gnp(16, 0.3, rng)
+    a = approx_min_degree_sequence(g, 0.5, 4, estimator_eps=0.5)
+    b = approx_min_degree_sequence(g, 0.5, 4, estimator_eps=0.5)
+    assert a.counters["estimator_calls"] > 0
+    assert a.counters["exact_evals"] == a.counters["label_evals"] == 0
+    assert a.key_material() == b.key_material()
