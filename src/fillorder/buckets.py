@@ -61,14 +61,6 @@ class _BucketView:
             yield self._sl[i][1]
 
 
-class BucketReport:
-    """Partition of the remaining vertices into degree buckets, ascending
-    by bucket id (low approximate degree first)."""
-
-    def __init__(self, buckets: list[_BucketView]):
-        self.buckets = buckets
-
-
 class ApproxDegreeDS:
     def __init__(self, g: StaticGraph, eps: float, seed: int, k: int | None = None):
         if not 0 < eps <= 0.5:
@@ -116,9 +108,10 @@ class ApproxDegreeDS:
 
     # ---------------- reporting ----------------
 
-    def report(self, max_buckets: int | None = None) -> BucketReport:
-        """Bucket the remaining vertices by quantile ranges
-        [(1+eps)^-(i+1), (1+eps)^-i), ascending i (low degree first).
+    def report(self, max_buckets: int | None = None) -> list[_BucketView]:
+        """Partition the remaining vertices into the nonempty buckets of
+        quantile ranges [(1+eps)^-(i+1), (1+eps)^-i), ascending i (low
+        degree first).
 
         Bucket boundaries are taken from precomputed powers so the result
         is a partition regardless of floating-point rounding."""
@@ -140,7 +133,7 @@ class ApproxDegreeDS:
                 buckets.append(_BucketView(sl, start, stop, i))
             stop = start
             i += 1
-        return BucketReport(buckets)
+        return buckets
 
 
 def static_one_degree_quantiles(g: StaticGraph, eps: float, seed: int,

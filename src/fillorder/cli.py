@@ -154,6 +154,12 @@ def _parse_vertex_list(text: str) -> list[int]:
 
 
 def _cmd_estimate(args) -> int:
+    if args.mode == "buckets" and not 0 < args.epsilon <= 0.5:
+        raise _CliError(EXIT_FLAGS, "--epsilon must be in (0, 1/2]")
+    if not args.epsilon > 0:
+        raise _CliError(EXIT_FLAGS, "--epsilon must be positive")
+    if args.sketches is not None and args.sketches < 1:
+        raise _CliError(EXIT_FLAGS, "--sketches must be at least 1")
     g = _load_input(args)
     eliminate = _parse_vertex_list(args.eliminate)
     bad = [v for v in eliminate if not 0 <= v < g.n] or \
@@ -184,11 +190,12 @@ def _cmd_estimate(args) -> int:
             "estimate": est,
         }
     else:  # buckets
-        k = args.sketches if args.sketches else min(sketch_count(g.n, args.epsilon), 2000)
+        if len(eliminate) == g.n:
+            raise _CliError(EXIT_FLAGS, "--eliminate leaves no vertex to bucket")
+        k = args.sketches if args.sketches is not None else min(sketch_count(g.n, args.epsilon), 2000)
         ds = ApproxDegreeDS(g, args.epsilon, seed, k=k)
         for v in eliminate:
             ds.pivot(v)
-        rep = ds.report()
         payload = {
             "schema": 1,
             "mode": "buckets",
@@ -200,7 +207,7 @@ def _cmd_estimate(args) -> int:
                 {"bucket": b.bucket_id, "vertices": list(b),
                  "range": [(1 + args.epsilon) ** -(b.bucket_id + 1),
                            (1 + args.epsilon) ** -b.bucket_id]}
-                for b in rep.buckets
+                for b in ds.report()
             ],
         }
     _emit(args, payload)

@@ -144,10 +144,9 @@ def approx_min_degree_sequence(
     }
 
     for t in range(n):
-        report = ds.report(max_buckets=candidate_window)
         candidates: list[Candidate] = []
         crng = rngmod.substream(seed, rngmod.CANDIDATES, t)
-        for view in report.buckets:
+        for view in ds.report(max_buckets=candidate_window):
             candidates.extend(
                 exp_decayed_candidates(view, eps_hat, view.bucket_id, crng,
                                        c2=CANDIDATE_C2))

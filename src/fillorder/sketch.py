@@ -26,6 +26,12 @@ Nrem(w) - {v} for each component w adjacent to v, and a row of Nrem(w)
 already holds at most comp[w]; so the rows of Nrem(w) are read only if
 comp[w] was v's key or exceeds comp[c] in some copy.
 
+Copy i draws its keys from the substream (seed, SKETCH_KEYS, i), so
+added copies leave the existing ones unchanged.  `add_copies` takes the
+draws of a block of copies from `rng.sketch_key_draws`, which returns
+the keys of one Generator per copy without building one, and ranks the
+block with one stable argsort along its rows.
+
 `DynamicSketch` is one copy kept the per-copy way: keys packed as
 (draw << VID_BITS) | vertex_id, one slot per contributor per remaining
 vertex (u itself, each remaining neighbor, each adjacent component),
@@ -49,9 +55,10 @@ VID_BITS = 20
 VID_MASK = (1 << VID_BITS) - 1
 _KEY_SCALE = float(2**64)
 RANK_LIMIT = 2**31 - 1
-# gathered entries per block when minima are reduced over index groups;
-# building k = 2000 copies of a 1000-vertex, 5000-edge graph peaks at
-# 131 MB with the block and 177 MB without it
+# entries per block when minima are reduced over index groups and when
+# key draws are sorted into ranks; building k = 2000 copies of a
+# 1000-vertex, 5000-edge graph peaks at 131 MB with blocked minima and
+# 177 MB without
 _GATHER_BLOCK = 1 << 22
 
 
@@ -289,18 +296,7 @@ class SketchEnsemble:
         graph's current state; returns their indices."""
         cg = self.cgraph
         n, first = cg.n, self.k
-        key = np.empty((n, count), dtype=np.int32)
-        draw = np.empty((n, count), dtype=np.float64)
-        vertex = np.empty((n, count), dtype=np.int32)
-        ranks = np.arange(n, dtype=np.int32)
-        for j in range(count):
-            rng = rngmod.substream(self.seed, rngmod.SKETCH_KEYS, first + j)
-            # keys stay in (0, 1): a zero key would break quantile reciprocals
-            draws = rng.integers(1, 2**64, size=n, dtype=np.uint64)
-            by_key = np.argsort(draws, kind="stable")
-            key[by_key, j] = ranks
-            vertex[:, j] = by_key
-            draw[:, j] = draws[by_key] / _KEY_SCALE
+        key, draw, vertex = self._draw_keys(first, count)
         comp = np.full((n, count), n, dtype=np.int32)
         live = [x for x in cg.component_vertices() if len(cg.remaining_neighbors(x))]
         if live:
@@ -316,6 +312,26 @@ class SketchEnsemble:
         self._vertex = np.hstack((self._vertex, vertex))
         self._cols = np.arange(self.k)
         return range(first, first + count)
+
+    def _draw_keys(self, first: int, count: int):
+        """Key ranks, rank -> draw and rank -> vertex tables, (n, count)
+        each, for copies first, ..., first + count - 1.  A block's draws
+        and sort order are freed on return, before the minima are built."""
+        n = self.cgraph.n
+        key = np.empty((n, count), dtype=np.int32)
+        draw = np.empty((n, count), dtype=np.float64)
+        vertex = np.empty((n, count), dtype=np.int32)
+        ranks = np.arange(n, dtype=np.int32)[None, :]
+        step = max(1, _GATHER_BLOCK // max(1, n))
+        for lo in range(0, count, step):
+            hi = min(count, lo + step)
+            # keys stay in (0, 1): a zero key would break quantile reciprocals
+            draws = rngmod.sketch_key_draws(self.seed, first + lo, hi - lo, n)
+            by_key = np.argsort(draws, axis=1, kind="stable")
+            np.put_along_axis(key[:, lo:hi].T, by_key, ranks, axis=1)
+            vertex[:, lo:hi] = by_key.T
+            draw[:, lo:hi] = np.take_along_axis(draws, by_key, axis=1).T / _KEY_SCALE
+        return key, draw, vertex
 
     def _fill_minima(self, key: np.ndarray, comp: np.ndarray, rows) -> np.ndarray:
         """Minimum over {u} | Nrem(u) of `key` and over Ncomp(u) of `comp`,

@@ -31,14 +31,14 @@ def test_rejects_bad_epsilon():
 def test_single_vertex_single_bucket():
     ds = ApproxDegreeDS(from_edges(1, []), 0.25, seed=0)
     rep = ds.report()
-    assert len(rep.buckets) == 1 and list(rep.buckets[0]) == [0]
+    assert len(rep) == 1 and list(rep[0]) == [0]
 
 
 def test_complete_graph_shares_one_bucket():
     ds = ApproxDegreeDS(complete_graph(20), 0.3, seed=3)
     rep = ds.report()
-    assert len(rep.buckets) == 1
-    b = rep.buckets[0]
+    assert len(rep) == 1
+    b = rep[0]
     assert sorted(b) == list(range(20))
     lo = (1 + ds.eps) ** (b.bucket_id - 2)
     hi = (1 + ds.eps) ** (b.bucket_id + 2)
@@ -90,7 +90,7 @@ def test_bucket_membership_tracks_true_degrees(rng):
         eliminated.append(v)
         rep = ds.report()
         seen = []
-        for b in rep.buckets:
+        for b in rep:
             for u in b:
                 seen.append(u)
                 deg1 = fill_degree_bruteforce(g, eliminated, u) + 1

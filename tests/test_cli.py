@@ -128,6 +128,36 @@ def test_estimate_buckets_mode(capsys, tmp_path):
     assert members == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("mode", ["degree", "buckets"])
+def test_estimate_rejects_nonpositive_epsilon(capsys, c4_file, mode):
+    code, out, err = run_cli(capsys, "estimate", "--input", c4_file, "--mode", mode,
+                             "--vertex", "0", "--epsilon", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("fillorder:") and "--epsilon" in err
+
+
+def test_estimate_buckets_rejects_epsilon_above_half(capsys, c4_file):
+    code, out, err = run_cli(capsys, "estimate", "--input", c4_file, "--mode", "buckets",
+                             "--epsilon", "0.7")
+    assert code == 2 and out == ""
+    assert err.startswith("fillorder:") and "--epsilon" in err
+
+
+def test_estimate_buckets_rejects_eliminating_every_vertex(capsys, c4_file):
+    code, out, err = run_cli(capsys, "estimate", "--input", c4_file, "--mode", "buckets",
+                             "--eliminate", "0,1,2,3", "--sketches", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("fillorder:") and "--eliminate" in err
+
+
+@pytest.mark.parametrize("sketches", ["0", "-3"])
+def test_estimate_buckets_rejects_sketches_below_one(capsys, c4_file, sketches):
+    code, out, err = run_cli(capsys, "estimate", "--input", c4_file, "--mode", "buckets",
+                             "--sketches", sketches)
+    assert code == 2 and out == ""
+    assert err.startswith("fillorder:") and "--sketches" in err
+
+
 def test_env_seed_default(capsys, c4_file, monkeypatch):
     monkeypatch.setenv("FILLORDER_SEED", "41")
     code, out, _ = run_cli(capsys, "order", "--input", c4_file, "--algorithm", "approx")
@@ -205,6 +235,6 @@ def test_estimate_buckets_pinned_to_reference(capsys, tmp_path):
         "buckets": [
             {"bucket": b.bucket_id, "vertices": list(b),
              "range": [1.25 ** -(b.bucket_id + 1), 1.25 ** -b.bucket_id]}
-            for b in ref.report().buckets
+            for b in ref.report()
         ],
     }

@@ -96,8 +96,8 @@ def test_quantiles_and_buckets_match_reference():
         for v in rng.permutation(n):
             assert {u: ds.quantile(u) for u in remaining} == \
                 {u: ref.quantile(u) for u in remaining}
-            assert [(b.bucket_id, list(b)) for b in ds.report().buckets] == \
-                [(b.bucket_id, list(b)) for b in ref.report().buckets]
+            assert [(b.bucket_id, list(b)) for b in ds.report()] == \
+                [(b.bucket_id, list(b)) for b in ref.report()]
             ds.pivot(int(v))
             ref.pivot(int(v))
             remaining.discard(int(v))

@@ -205,7 +205,7 @@ def test_trim_keeps_exact_degree_minimizer(rng):
     for t in range(g.n - 1):
         rep = ds.report()
         candidates = []
-        for view in rep.buckets:
+        for view in rep:
             crng = rngmod.substream(seed, rngmod.CANDIDATES, t, view.bucket_id)
             candidates.extend(exp_decayed_candidates(view, eps_hat, view.bucket_id,
                                                      crng, c2=8.0))
