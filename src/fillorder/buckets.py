@@ -74,12 +74,8 @@ class ApproxDegreeDS:
         self.cgraph = self.ensemble.cgraph
         self._q: list[float] = self.ensemble.quantiles(np.arange(g.n), self.rank).tolist()
         self._index = SortedList(zip(self._q, range(g.n)))
-        self.pivots = 0
 
     # ---------------- queries ----------------
-
-    def remaining_count(self) -> int:
-        return len(self._index)
 
     def quantile(self, u: int) -> float:
         if not self.cgraph.is_remaining(u):
@@ -104,7 +100,6 @@ class ApproxDegreeDS:
                     self._index.remove((self._q[y], y))
                     self._index.add((q, y))
                     self._q[y] = q
-        self.pivots += 1
 
     # ---------------- reporting ----------------
 

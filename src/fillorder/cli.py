@@ -59,11 +59,14 @@ def _load_input(args) -> StaticGraph:
     except OSError as e:
         raise _CliError(EXIT_IO, f"cannot read {args.input}: {e}") from e
     try:
-        return load_graph(data, args.format, one_based=getattr(args, "one_based", False))
+        g = load_graph(data, args.format, one_based=getattr(args, "one_based", False))
     except ParseError as e:
         raise _CliError(EXIT_IO, f"parse error: {e}") from e
     except ValueError as e:
         raise _CliError(EXIT_IO, str(e)) from e
+    if g.n == 0:
+        raise _CliError(EXIT_IO, "input graph has no vertices")
+    return g
 
 
 def _emit(args, payload: dict) -> None:

@@ -158,7 +158,8 @@ class FillNeighborhoodOracle(DenseOracle):
         if not cgraph.is_remaining(u):
             raise ValueError(f"vertex {u} is not remaining")
         rows = [[u, *cgraph.remaining_neighbors(u)]]
-        rows += [cgraph.remaining_neighbors(x) for x in cgraph.component_neighbors(u)]
+        # ascending component ids fix the row order, hence seeded estimates
+        rows += [cgraph.remaining_neighbors(x) for x in sorted(cgraph.component_neighbors(u))]
         sizes = [len(row) for row in rows]
         flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
                            count=sum(sizes))

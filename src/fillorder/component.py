@@ -20,8 +20,6 @@ key-propagation protocol needs the pre-mutation neighbor sets:
 
 from __future__ import annotations
 
-from sortedcontainers import SortedList
-
 from .graph import StaticGraph
 
 
@@ -29,15 +27,11 @@ class ComponentGraph:
     def __init__(self, origin: StaticGraph):
         n = origin.n
         self.origin = origin
-        self._remaining = bytearray(b"\x01" * n)
         self._parent = list(range(n))
-        self._nrem: list[SortedList | None] = [SortedList(origin.adj[v]) for v in range(n)]
-        self._ncomp: list[SortedList | None] = [SortedList() for _ in range(n)]
-        self._vrem = SortedList(range(n))
-        self._vcomp: SortedList = SortedList()
-        # Nrem(x) as a set for components x used as the base of an exact
-        # fill-degree evaluation; dropped wherever Nrem(x) changes
-        self._nrem_sets: dict[int, set[int]] = {}
+        self._nrem: list[set[int] | None] = [set(origin.adj[v]) for v in range(n)]
+        self._ncomp: list[set[int] | None] = [set() for _ in range(n)]
+        self._vrem = set(range(n))
+        self._vcomp: set[int] = set()
         self.pivots = 0
         self.meld_count = 0
 
@@ -48,17 +42,17 @@ class ComponentGraph:
         return self.origin.n
 
     def is_remaining(self, v: int) -> bool:
-        return bool(self._remaining[v])
+        return v in self._vrem
 
     def state(self, v: int) -> tuple[str, int | None]:
         """("remaining", None) or ("eliminated", live component id)."""
-        if self._remaining[v]:
+        if v in self._vrem:
             return ("remaining", None)
         return ("eliminated", self.component_of(v))
 
     def component_of(self, v: int) -> int | None:
         """Live component id a vertex was eliminated into, or None."""
-        if self._remaining[v]:
+        if v in self._vrem:
             return None
         root = v
         parent = self._parent
@@ -68,43 +62,30 @@ class ComponentGraph:
             parent[v], v = root, parent[v]
         return root
 
-    def remaining_vertices(self) -> SortedList:
+    # the sets returned below are live views, in no particular order; do
+    # not mutate them
+
+    def remaining_vertices(self) -> set[int]:
         return self._vrem
 
-    def component_vertices(self) -> SortedList:
+    def component_vertices(self) -> set[int]:
         return self._vcomp
 
-    def remaining_neighbors(self, v: int) -> SortedList:
-        """Remaining neighborhood of a remaining vertex or live component.
-
-        Returned object is a live view; do not mutate."""
+    def remaining_neighbors(self, v: int) -> set[int]:
+        """Remaining neighborhood of a remaining vertex or live component."""
         s = self._nrem[v]
         if s is None:
             raise ValueError(f"vertex {v} is not live")
         return s
 
-    def component_neighbors(self, v: int) -> SortedList:
-        if not self._remaining[v]:
+    def component_neighbors(self, v: int) -> set[int]:
+        if v not in self._vrem:
             raise ValueError(f"vertex {v} is not remaining")
         return self._ncomp[v]
 
-    def remaining_degree(self, v: int) -> int:
-        return len(self.remaining_neighbors(v))
-
-    def sample_remaining_neighbor(self, v: int, rng) -> int:
-        s = self.remaining_neighbors(v)
-        if not s:
-            raise ValueError(f"vertex {v} has no remaining neighbors")
-        return s[int(rng.integers(0, len(s)))]
-
-    def sample_random_component(self, rng) -> int:
-        if not self._vcomp:
-            raise ValueError("no component vertices")
-        return self._vcomp[int(rng.integers(0, len(self._vcomp)))]
-
     def fill_neighborhood(self, u: int) -> set[int]:
         """Exact fill neighborhood of a remaining vertex (set union)."""
-        if not self._remaining[u]:
+        if u not in self._vrem:
             raise ValueError(f"vertex {u} is not remaining")
         out = set(self._nrem[u])
         for x in self._ncomp[u]:
@@ -114,25 +95,22 @@ class ComponentGraph:
 
     def fill_degree_exact(self, u: int) -> int:
         """Size of the fill neighborhood of u.  The largest adjacent
-        component's remaining neighborhood is kept as a set until a pivot
-        changes it, so evaluations that share a large component scan it
-        once, not once each."""
-        if not self._remaining[u]:
+        component's remaining neighborhood is counted in place, so
+        evaluations that share a large component do not scan it."""
+        if u not in self._vrem:
             raise ValueError(f"vertex {u} is not remaining")
         nrem = self._nrem
         comps = self._ncomp[u]
         if not comps:
             return len(nrem[u])
         base = max(comps, key=lambda x: len(nrem[x]))
-        covered = self._nrem_sets.get(base)
-        if covered is None:
-            covered = self._nrem_sets[base] = set(nrem[base])
+        covered = nrem[base]
         extra = set(nrem[u])
         for x in comps:
             if x != base:
                 extra.update(nrem[x])
         # u lies in Nrem(base): counted once in `covered`, then taken off
-        return len(covered) + len(extra.difference(covered)) - 1
+        return len(covered) + len(extra - covered) - 1
 
     def fill_eval_cost(self, u: int) -> int:
         """Endpoint count touched by an exact fill-degree evaluation of u."""
@@ -154,21 +132,20 @@ class ComponentGraph:
     def pivot(self, v: int, observers=()) -> int:
         """Eliminate remaining vertex v, melding it with every adjacent
         component.  Returns the live id of the merged component."""
-        if not self._remaining[v]:
+        if v not in self._vrem:
             raise ValueError(f"vertex {v} is not remaining")
         nr = list(self._nrem[v])
-        nc = list(self._ncomp[v])
+        # ascending ids fix the meld order, hence which component ids
+        # survive and what the observers count
+        nc = sorted(self._ncomp[v])
 
         for y in nr:
             self._nrem[y].remove(v)
         for w in nc:
             self._nrem[w].remove(v)
-            self._nrem_sets.pop(w, None)
 
-        self._remaining[v] = 0
         self._vrem.remove(v)
         self._vcomp.add(v)
-        self._nrem[v] = SortedList(nr)
         self._ncomp[v] = None
         for y in nr:
             self._ncomp[y].add(v)
@@ -192,8 +169,6 @@ class ComponentGraph:
             winner, loser = b, a
         for obs in observers:
             obs.on_meld(winner, loser, self._nrem[winner], self._nrem[loser])
-        self._nrem_sets.pop(winner, None)
-        self._nrem_sets.pop(loser, None)
 
         wset = self._nrem[winner]
         for y in self._nrem[loser]:
@@ -210,18 +185,14 @@ class ComponentGraph:
     # ---------------- consistency (used by tests) ----------------
 
     def check_invariants(self) -> None:
+        assert not self._vrem & self._vcomp
         for v in self._vrem:
-            assert self._remaining[v]
             for y in self._nrem[v]:
-                assert self._remaining[y] and v in self._nrem[y]
+                assert y in self._vrem and v in self._nrem[y]
             for x in self._ncomp[v]:
-                assert not self._remaining[x]
-                assert self._nrem[x] is not None and v in self._nrem[x]
+                assert x in self._vcomp and v in self._nrem[x]
         for x in self._vcomp:
-            assert not self._remaining[x]
             assert self._ncomp[x] is None
             for y in self._nrem[x]:
-                assert self._remaining[y] and x in self._ncomp[y]
-        for x, s in self._nrem_sets.items():
-            assert self._nrem[x] is not None and s == set(self._nrem[x])
+                assert y in self._vrem and x in self._ncomp[y]
         assert self.stored_endpoints() <= 2 * self.origin.m

@@ -141,17 +141,6 @@ def grid2d_graph(n: int) -> StaticGraph:
     return from_edges(n, edges)
 
 
-def random_graph(model: str, n: int, p: float | None = None, seed: int = 0) -> StaticGraph:
-    rng = rngmod.substream(rngmod.normalize_seed(seed), rngmod.GENERATOR)
-    if model == "gnp":
-        if p is None:
-            raise ValueError("gnp requires p")
-        return gnp_graph(n, p, rng)
-    if model == "grid2d":
-        return grid2d_graph(n)
-    raise ValueError(f"unknown model {model!r}")
-
-
 def random_ov_instance(n: int, d: int, density: float, seed: int) -> list[tuple[int, ...]]:
     rng = rngmod.substream(rngmod.normalize_seed(seed), rngmod.GENERATOR, 1)
     return [tuple(int(b) for b in (rng.random(d) < density)) for _ in range(n)]

@@ -86,9 +86,6 @@ class SourceMinMap:
     def __contains__(self, source) -> bool:
         return source in self._src
 
-    def get(self, source):
-        return self._src.get(source)
-
     def min(self):
         return self._vals.min()
 
@@ -103,6 +100,3 @@ class SourceMinMap:
         value = self._src.pop(source)
         self._vals.discard(value)
         return value
-
-    def items(self):
-        return self._src.items()

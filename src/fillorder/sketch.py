@@ -257,7 +257,8 @@ def _pair_min(src: np.ndarray, groups, group_of: np.ndarray,
 
 
 def _rows_of(vertices, drop: int = -1) -> np.ndarray:
-    """A sorted vertex collection as an index array, without `drop`."""
+    """A vertex collection, in its own iteration order, as an index
+    array without `drop`."""
     rows = np.fromiter(vertices, dtype=np.intp, count=len(vertices))
     return rows[rows != drop] if drop >= 0 else rows
 

@@ -60,6 +60,23 @@ def test_order_unreadable_input_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["order", "--algorithm", "approx"],
+    ["order", "--algorithm", "delta-capped"],
+    ["order", "--algorithm", "output-sensitive"],
+    ["order", "--algorithm", "bruteforce"],
+    ["estimate", "--mode", "degree", "--vertex", "0"],
+    ["estimate", "--mode", "buckets"],
+], ids=lambda argv: argv[-1] if argv[0] == "order" else argv[2])
+def test_input_without_vertices_exits_1(capsys, tmp_path, argv):
+    path = tmp_path / "empty.edges"
+    path.write_text("# comments only\n")
+    code, out, err = run_cli(capsys, *argv, "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "fillorder: input graph has no vertices\n"
+
+
 def test_order_parse_error_exits_1(capsys, tmp_path):
     path = tmp_path / "bad.edges"
     path.write_text("zero one\n")
