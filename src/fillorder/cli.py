@@ -98,10 +98,8 @@ def _cmd_order(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise _CliError(EXIT_FLAGS, f"unknown algorithm {args.algorithm}")
     wall = time.perf_counter() - t0
-    c = result.counters
-    if args.algorithm == "bruteforce" or (
-            args.algorithm == "approx" and c["label_evals"] == c["estimator_calls"] == 0):
-        # every reported degree is a fill degree computed exactly at
+    if args.algorithm in ("bruteforce", "approx"):
+        # both report each pivot's fill degree computed exactly at
         # elimination, and each edge of the filled graph is counted once,
         # at its earlier endpoint.  The sketch drivers' degrees are
         # minimizer counts, exact only with high probability and only

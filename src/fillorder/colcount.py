@@ -112,10 +112,6 @@ class DenseOracle:
         self.queries += self.r  # one RowSize per row
         return len(self._flat_cols)
 
-    def row_size(self, i: int) -> int:
-        self.queries += 1
-        return int(self._a[i].sum())
-
     def sample_nonzero_batch(self, rng, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Uniform nonzero entries, drawn as a size-weighted row choice
         followed by a uniform in-row choice."""

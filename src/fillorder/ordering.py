@@ -3,15 +3,15 @@
 Each step asks the bucketing structure for vertices grouped by
 approximate 1-degree, draws a small decayed candidate set per bucket via
 top order statistics of exponential variables, trims candidates whose
-perturbed bucket value cannot win, evaluates the survivors with
-randomness independent of the sketches, and pivots the minimizer of
-(1 - delta) * estimated 1-degree.  The decay decorrelates the pivot
-choice from the sketch internals; the evaluation draws fresh streams per
-(step, vertex).
+perturbed bucket value cannot win, evaluates each survivor's exact fill
+1-degree, and pivots the minimizer of (1 - delta) * fill 1-degree.  The
+decay decorrelates the pivot choice from the sketch internals; the
+evaluation is exact and deterministic, so it is independent of the
+sketch randomness.
 
 The sketch copy count and the candidate window are computed from the
-graph and eps; the candidate, trim, survivor and evaluation limits are
-the module constants below.
+graph and eps; the candidate, trim and survivor limits are the module
+constants below.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 from . import rng as rngmod
 from .buckets import ApproxDegreeDS, sketch_count
+# not called here; perfbench/layers.py times colcount by wrapping
+# ordering.estimate_fill_1degree
 from .colcount import estimate_fill_1degree
 from .exact import clog2
 from .graph import StaticGraph
@@ -33,9 +35,6 @@ CANDIDATE_C2 = 2.0
 # times the best one are trimmed; at most SURVIVOR_CAP survivors are evaluated.
 TRIM_EXPONENT = 7
 SURVIVOR_CAP = 16
-# A survivor is evaluated exactly when its fill evaluation touches at most
-# this many endpoints; beyond it the label or the sampling estimator is used.
-EVAL_BUDGET = 200_000
 
 
 @dataclass(slots=True)
@@ -101,18 +100,10 @@ def approx_min_degree_sequence(
     g: StaticGraph,
     eps: float,
     seed: int,
-    *,
-    estimator_eps: float | None = None,
 ) -> OrderingResult:
     """Approximate greedy minimum-degree ordering: every pivoted vertex has
     fill degree within (1 + eps) of the step minimum with high probability.
-
-    Surviving candidates are evaluated exactly whenever the union of their
-    component neighborhoods fits `EVAL_BUDGET` endpoint touches (an exact
-    value is deterministic, hence independent of the sketch randomness);
-    larger neighborhoods fall back to the quantile label, or to the
-    sampling estimator at error `estimator_eps` when one is given.
-    """
+    Each reported degree is the pivot's exact fill degree."""
     if not 0 < eps <= 0.5:
         raise ValueError("eps must be in (0, 1/2]")
     if g.n == 0:
@@ -138,6 +129,8 @@ def approx_min_degree_sequence(
         "k": k,
         "candidates_total": 0,
         "survivors_total": 0,
+        # estimator_calls and label_evals always read 0: every survivor is
+        # evaluated exactly; perfbench/workloads.py still reads both keys
         "estimator_calls": 0,
         "exact_evals": 0,
         "label_evals": 0,
@@ -164,25 +157,15 @@ def approx_min_degree_sequence(
         best = None
         for c in survivors:
             v = c.vertex
-            if cg.fill_eval_cost(v) <= EVAL_BUDGET:
-                # exact fill 1-degree: deterministic, so trivially
-                # independent of the sketch randomness
-                est = float(cg.fill_degree_exact(v) + 1)
-                counters["exact_evals"] += 1
-            elif estimator_eps is not None:
-                est = estimate_fill_1degree(
-                    cg, v, estimator_eps, rngmod.substream(seed, rngmod.ESTIMATOR, t, v))
-                counters["estimator_calls"] += 1
-            else:
-                est = ds.degree_estimate(v)
-                counters["label_evals"] += 1
-            key = ((1.0 - c.delta) * est, v)
+            d = cg.fill_degree_exact(v)
+            key = ((1.0 - c.delta) * (d + 1), v)
             if best is None or key < best[0]:
-                best = (key, v, est)
+                best = (key, d)
+        counters["exact_evals"] += len(survivors)
 
-        _, u, est_u = best
+        (_, u), d_u = best
         order.append(u)
-        reported.append(max(0, int(round(est_u)) - 1))
+        reported.append(d_u)
         ds.pivot(u)
 
     counters.update(ds.ensemble.sketch_counters())

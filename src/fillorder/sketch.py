@@ -99,9 +99,6 @@ class DynamicSketch:
     def key_of(self, v: int) -> int:
         return self._key[v]
 
-    def key_float(self, v: int) -> float:
-        return (self._key[v] >> VID_BITS) / _KEY_SCALE
-
     # ---------------- queries ----------------
 
     def query_min(self, u: int) -> int:

@@ -356,8 +356,7 @@ def test_criterion_14_scaling_smoke():
         t0 = time.time()
         r = approx_min_degree_sequence(g, 0.5, seed=1)
         times[g.m] = time.time() - t0
-        c = r.counters
-        evals[g.m] = f"exact {c['exact_evals']}, label {c['label_evals']}"
+        evals[g.m] = f"exact {r.counters['exact_evals']}"
     (m1, t1), (m2, t2) = sorted(times.items())
     record(14, "scaling smoke",
            t1 < 300 and t2 < 300 and t2 / t1 <= 3,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import gnp
-from fillorder import ordering
 from fillorder.bruteforce import total_fill
 from fillorder.cli import main
 from fillorder.graph import complete_graph
@@ -199,21 +198,6 @@ def test_order_total_fill_matches_replay(capsys, tmp_path, algorithm):
                            "--algorithm", algorithm, "--seed", "3")
     assert code == 0
     report = json.loads(out)
-    assert report["total_fill"] == total_fill(g, report["order"])
-
-
-def test_order_total_fill_replayed_for_label_fallback(capsys, tmp_path, monkeypatch):
-    # quantile labels are not fill degrees, so the fill must come from a replay
-    monkeypatch.setattr(ordering, "EVAL_BUDGET", 0)
-    g = gnp(40, 0.12, np.random.default_rng(21))
-    path = tmp_path / "g.edges"
-    path.write_text(graph_to_edge_text(g))
-    code, out, _ = run_cli(capsys, "order", "--input", str(path),
-                           "--algorithm", "approx", "--seed", "3")
-    assert code == 0
-    report = json.loads(out)
-    assert report["counters"]["label_evals"] > 0
-    assert report["counters"]["exact_evals"] == 0
     assert report["total_fill"] == total_fill(g, report["order"])
 
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from conftest import gnp
-from fillorder import ordering
 from fillorder.colcount import (FillNeighborhoodOracle, estimate_fill_1degree,
                                 estimate_nonzero_columns)
 from fillorder.component import ComponentGraph
@@ -22,7 +21,6 @@ from fillorder.sketch import new_sketch
 GRAPHS = {
     "gnp60": lambda: gnp(60, 0.1, np.random.default_rng(5)),
     "grid7x7": lambda: grid2d_graph(49),
-    "gnp40": lambda: gnp(40, 0.15, np.random.default_rng(8)),
     "gnp80": lambda: gnp(80, 0.08, np.random.default_rng(21)),
 }
 
@@ -73,9 +71,8 @@ def observe_estimates(name: str, count: int, seed: int, eps: float, limit: int):
     return out
 
 
-def observe_approx(name: str, seed: int, estimator_eps=None):
-    return approx_min_degree_sequence(GRAPHS[name](), 0.5, seed,
-                                      estimator_eps=estimator_eps).key_material()
+def observe_approx(name: str, seed: int):
+    return approx_min_degree_sequence(GRAPHS[name](), 0.5, seed).key_material()
 
 
 PINNED_COMPONENT_IDS = {
@@ -120,7 +117,7 @@ PINNED_ESTIMATES = {
 }
 
 PINNED_APPROX = {
-    ("gnp60", 7, None):
+    ("gnp60", 7):
         ((21, 59, 18, 26, 1, 44, 28, 36, 47, 37, 57, 17, 43, 48, 42, 34, 7, 12, 30, 35,
           6, 45, 11, 51, 46, 15, 33, 41, 20, 9, 25, 38, 10, 31, 50, 29, 58, 22, 54, 52,
           4, 55, 0, 56, 8, 49, 39, 19, 23, 2, 13, 32, 53, 27, 3, 14, 5, 24, 16, 40),
@@ -132,19 +129,6 @@ PINNED_APPROX = {
           ("k", 96), ("label_evals", 0), ("sketch_changed_total", 7730),
           ("sketch_informs", 53760), ("sketch_melds", 5568), ("sketch_pivots", 5760),
           ("sketch_updates", 87927), ("survivors_total", 222))),
-}
-
-PINNED_APPROX_ESTIMATOR = {
-    ("gnp40", 4, 0.5):
-        ((18, 30, 33, 31, 21, 16, 11, 35, 28, 7, 23, 10, 4, 8, 37, 38, 3, 2, 12, 0, 39,
-          34, 20, 29, 5, 1, 15, 25, 36, 32, 9, 6, 17, 24, 27, 22, 26, 19, 13, 14),
-         (2, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 3, 4, 5, 5, 5, 6, 7, 8, 9, 9, 10, 11,
-          11, 12, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
-         "approx", 4,
-         (("candidates_total", 725), ("estimator_calls", 134), ("exact_evals", 0),
-          ("k", 96), ("label_evals", 0), ("sketch_changed_total", 3991),
-          ("sketch_informs", 21696), ("sketch_melds", 3744), ("sketch_pivots", 3840),
-          ("sketch_updates", 41297), ("survivors_total", 134))),
 }
 
 
@@ -166,10 +150,3 @@ def test_fill_estimates_and_queries_pinned(args):
 @pytest.mark.parametrize("args", list(PINNED_APPROX), ids=_id)
 def test_approx_key_material_pinned(args):
     assert observe_approx(*args) == PINNED_APPROX[args]
-
-
-@pytest.mark.parametrize("args", list(PINNED_APPROX_ESTIMATOR), ids=_id)
-def test_approx_estimator_path_key_material_pinned(args, monkeypatch):
-    # a zero budget sends every survivor to the sampling estimator
-    monkeypatch.setattr(ordering, "EVAL_BUDGET", 0)
-    assert observe_approx(*args) == PINNED_APPROX_ESTIMATOR[args]

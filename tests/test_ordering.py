@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import gnp
-from fillorder import ordering
 from fillorder.bruteforce import greedy_degree_trace
+from fillorder.generators import grid2d_graph
 from fillorder.graph import complete_graph, path_graph
 from fillorder.ordering import (
     approx_min_degree_sequence,
@@ -184,10 +184,23 @@ def test_determinism_byte_for_byte(rng):
 def test_eval_count_tripwire(rng):
     g = gnp(40, 0.2, rng)
     r = approx_min_degree_sequence(g, 0.5, 5)
-    evals = (r.counters["estimator_calls"] + r.counters["exact_evals"]
-             + r.counters["label_evals"])
+    evals = r.counters["exact_evals"]
     assert evals / g.n <= 10_000
     assert evals / g.n <= 50  # empirical regression tripwire
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gnp(40, 0.2, np.random.default_rng(1)),
+    lambda: gnp(60, 0.1, np.random.default_rng(2)),
+    lambda: gnp(50, 0.3, np.random.default_rng(3)),
+    lambda: grid2d_graph(64),
+], ids=["gnp40", "gnp60", "gnp50-dense", "grid8x8"])
+def test_reported_degrees_are_exact_fill_degrees(make):
+    # `fillorder order` sums these degrees for total_fill without a replay
+    g = make()
+    for seed in (0, 7):
+        r = approx_min_degree_sequence(g, 0.5, seed)
+        assert r.reported_degree == greedy_degree_trace(g, r.order)[0]
 
 
 def test_trim_keeps_exact_degree_minimizer(rng):
@@ -217,23 +230,3 @@ def test_trim_keeps_exact_degree_minimizer(rng):
         best = min(candidates, key=lambda c: ((1 - c.delta) * exact[c.vertex], c.vertex))
         assert any(s.vertex == best.vertex and s.delta == best.delta for s in survivors)
         ds.pivot(best.vertex)
-
-
-def test_label_fallback_beyond_eval_budget(rng, monkeypatch):
-    # every survivor's fill evaluation exceeds a zero budget, so each one
-    # is judged by its quantile label
-    monkeypatch.setattr(ordering, "EVAL_BUDGET", 0)
-    r = approx_min_degree_sequence(gnp(30, 0.2, rng), 0.5, 3)
-    assert r.counters["label_evals"] > 0
-    assert r.counters["exact_evals"] == 0
-    assert r.counters["estimator_calls"] == 0
-
-
-def test_estimator_fallback_beyond_eval_budget(rng, monkeypatch):
-    monkeypatch.setattr(ordering, "EVAL_BUDGET", 0)
-    g = gnp(16, 0.3, rng)
-    a = approx_min_degree_sequence(g, 0.5, 4, estimator_eps=0.5)
-    b = approx_min_degree_sequence(g, 0.5, 4, estimator_eps=0.5)
-    assert a.counters["estimator_calls"] > 0
-    assert a.counters["exact_evals"] == a.counters["label_evals"] == 0
-    assert a.key_material() == b.key_material()
