@@ -9,7 +9,7 @@ from .bruteforce import (
     total_fill,
 )
 from .component import ComponentGraph
-from .sketch import DynamicSketch, SketchEnsemble, new_sketch
+from .sketch import SketchEnsemble
 from .exact import delta_capped_min_degree, output_sensitive_min_degree
 from .buckets import ApproxDegreeDS, static_one_degree_quantiles
 from .colcount import (
@@ -24,7 +24,6 @@ from .result import OrderingResult
 __all__ = [
     "ApproxDegreeDS",
     "ComponentGraph",
-    "DynamicSketch",
     "OrderingResult",
     "SketchEnsemble",
     "StaticGraph",
@@ -39,7 +38,6 @@ __all__ = [
     "fill_graph_bruteforce",
     "from_edges",
     "load_graph",
-    "new_sketch",
     "output_sensitive_min_degree",
     "static_one_degree_quantiles",
     "total_fill",

@@ -82,10 +82,6 @@ class ApproxDegreeDS:
             raise ValueError(f"vertex {u} is not remaining")
         return self._q[u]
 
-    def degree_estimate(self, u: int) -> float:
-        """Approximate fill 1-degree: reciprocal of the key quantile."""
-        return 1.0 / self.quantile(u)
-
     # ---------------- updates ----------------
 
     def pivot(self, u: int) -> None:

@@ -220,6 +220,8 @@ def _cmd_gen(args) -> int:
     if args.model == "gnp":
         if args.p is None:
             raise _CliError(EXIT_FLAGS, "gnp requires --p")
+        if args.n < 0 or not 0 <= args.p <= 1:
+            raise _CliError(EXIT_FLAGS, "gnp needs --n >= 0 and --p in [0, 1]")
         g = gnp_graph(args.n, args.p, rngmod.substream(rngmod.normalize_seed(seed), rngmod.GENERATOR))
     elif args.model == "grid2d":
         try:
@@ -227,6 +229,10 @@ def _cmd_gen(args) -> int:
         except ValueError as e:
             raise _CliError(EXIT_FLAGS, str(e)) from e
     elif args.model == "ov":
+        if args.n < 1 or args.d < 1:
+            raise _CliError(EXIT_FLAGS, "ov needs --n >= 1 and --d >= 1")
+        if not 0 <= args.density <= 1:
+            raise _CliError(EXIT_FLAGS, "--density must be in [0, 1]")
         vectors = random_ov_instance(args.n, args.d, args.density, seed)
         g, _ = ov_hard_graph(vectors)
     else:  # pragma: no cover
@@ -248,6 +254,8 @@ def _cmd_gen(args) -> int:
 def _cmd_demo(args) -> int:
     if args.what != "adversary":
         raise _CliError(EXIT_FLAGS, f"unknown demo {args.what!r}")
+    if not args.epsilon > 0:
+        raise _CliError(EXIT_FLAGS, "--epsilon must be positive")
     try:
         report = adversary_demo(args.n, args.epsilon, args.mode, args.seed)
     except ValueError as e:

@@ -104,7 +104,7 @@ class DenseOracle:
         self._a = a
         self.r = a.shape[0]
         self.n_ref = n_ref if n_ref is not None else a.shape[1]
-        self._flat_rows, self._flat_cols = np.nonzero(a)
+        self._flat_cols = np.nonzero(a)[1]
         self.queries = 0
 
     @property
@@ -112,12 +112,12 @@ class DenseOracle:
         self.queries += self.r  # one RowSize per row
         return len(self._flat_cols)
 
-    def sample_nonzero_batch(self, rng, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Uniform nonzero entries, drawn as a size-weighted row choice
-        followed by a uniform in-row choice."""
+    def sample_nonzero_batch(self, rng, size: int) -> np.ndarray:
+        """Columns of `size` uniform nonzero entries, drawn as a
+        size-weighted row choice followed by a uniform in-row choice."""
         self.queries += size
         t = rng.integers(0, len(self._flat_cols), size=size)
-        return self._flat_rows[t], self._flat_cols[t]
+        return self._flat_cols[t]
 
     def query_values(self, rows: np.ndarray, j: int) -> np.ndarray:
         self.queries += len(rows)
@@ -199,7 +199,7 @@ class _GlobalInverseColumnSum:
         self.memo: dict[int, float] = {}
 
     def draw_batch(self, rng, size: int) -> np.ndarray:
-        _, js = self.oracle.sample_nonzero_batch(rng, size)
+        js = self.oracle.sample_nonzero_batch(rng, size)
         memo = self.memo
         out = np.empty(size)
         for t in range(size):
@@ -232,7 +232,7 @@ class _NormalizedHitTime:
         self.lim = lim
 
     def draw_batch(self, rng, size: int) -> np.ndarray:
-        _, js = self.oracle.sample_nonzero_batch(rng, size)
+        js = self.oracle.sample_nonzero_batch(rng, size)
         counters = self.oracle.hit_times_batch(js, self.lim, rng)
         return counters / self.lim
 

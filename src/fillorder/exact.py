@@ -62,9 +62,6 @@ class MinimizerTable:
     def remove_vertex(self, u: int) -> None:
         self._index.remove((self._distinct.pop(u), u))
 
-    def distinct(self, u: int) -> int:
-        return self._distinct[u]
-
     def global_min(self) -> tuple[int, int]:
         """(distinct count, vertex) of the lexicographically-first minimum."""
         return self._index[0]

@@ -50,9 +50,6 @@ class StaticGraph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, sorted."""
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]

@@ -32,12 +32,14 @@ draws of a block of copies from `rng.sketch_key_draws`, which returns
 the keys of one Generator per copy without building one, and ranks the
 block with one stable argsort along its rows.
 
-`DynamicSketch` is one copy kept the per-copy way: keys packed as
-(draw << VID_BITS) | vertex_id, one slot per contributor per remaining
-vertex (u itself, each remaining neighbor, each adjacent component),
-propagated eagerly through the observer callbacks of ComponentGraph.  It
-is the reference the ensemble is tested against and backs `new_sketch`;
-its key packing limits it to n < 2^VID_BITS.
+`DynamicSketch` is one copy kept the per-copy way.  Its keys are (draw,
+vertex id) tuples, which order as the ensemble's ranks do, so it has no
+size limit.  Each remaining vertex holds one key slot per contributor
+(itself, each remaining neighbor, each adjacent component), with the
+slot keys in a `SortedList`; each live component keeps the keys of its
+Nrem in another.  Slots are updated eagerly through the observer
+callbacks of ComponentGraph.  It is the reference the ensemble is tested
+against and backs `new_sketch`; the package does not export it.
 """
 
 from __future__ import annotations
@@ -45,14 +47,11 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from sortedcontainers import SortedList
 
 from . import rng as rngmod
 from .component import ComponentGraph
 from .graph import StaticGraph
-from .minstruct import LazyMinHeap, SourceMinMap
-
-VID_BITS = 20
-VID_MASK = (1 << VID_BITS) - 1
 _KEY_SCALE = float(2**64)
 RANK_LIMIT = 2**31 - 1
 # entries per block when minima are reduced over index groups and when
@@ -67,8 +66,6 @@ class DynamicSketch:
         if cgraph.pivots != 0:
             raise ValueError("sketch must be attached to a fresh component graph")
         g = cgraph.origin
-        if g.n >= 1 << VID_BITS:
-            raise ValueError(f"graph too large for key packing (n >= 2^{VID_BITS})")
         self.cgraph = cgraph
         self.index = index
         if draws is None:
@@ -76,16 +73,20 @@ class DynamicSketch:
             draws = rng.integers(1, 2**64, size=g.n, dtype=np.uint64)
         elif len(draws) != g.n:
             raise ValueError("need one key draw per vertex")
-        self._key = [(int(d) << VID_BITS) | v for v, d in enumerate(draws)]
-        self._fill: list[SourceMinMap | None] = []
+        self._key = [(int(d), v) for v, d in enumerate(draws)]
+        # per remaining vertex: contributor -> key slot, and the slot keys sorted
+        self._src: list[dict | None] = []
+        self._fill: list[SortedList | None] = []
         for u in range(g.n):
-            entries = {u: self._key[u]}
+            src = {u: self._key[u]}
             for y in g.adj[u]:
-                entries[y] = self._key[y]
-            self._fill.append(SourceMinMap(entries))
-        self._rkeys: list[LazyMinHeap | None] = [None] * g.n
+                src[y] = self._key[y]
+            self._src.append(src)
+            self._fill.append(SortedList(src.values()))
+        # keys of Nrem(x), per live component x
+        self._rkeys: list[SortedList | None] = [None] * g.n
         # minimum observed at first touch within the current pivot, per vertex
-        self._pre_min: dict[int, int] = {}
+        self._pre_min: dict[int, tuple[int, int]] = {}
         self.counters = {
             "updates": 0,
             "informs": 0,
@@ -96,38 +97,43 @@ class DynamicSketch:
 
     # ---------------- key access ----------------
 
-    def key_of(self, v: int) -> int:
+    def key_of(self, v: int) -> tuple[int, int]:
         return self._key[v]
 
     # ---------------- queries ----------------
 
+    def _min(self, u: int) -> tuple[int, int]:
+        fm = self._fill[u]
+        if fm is None:
+            raise ValueError(f"vertex {u} is not remaining")
+        return fm[0]
+
     def query_min(self, u: int) -> int:
         """Vertex holding the minimum key over u's closed fill neighborhood."""
-        fm = self._fill[u]
-        if fm is None:
-            raise ValueError(f"vertex {u} is not remaining")
-        return fm.min() & VID_MASK
+        return self._min(u)[1]
 
     def min_key_float(self, u: int) -> float:
-        fm = self._fill[u]
-        if fm is None:
-            raise ValueError(f"vertex {u} is not remaining")
-        return (fm.min() >> VID_BITS) / _KEY_SCALE
+        return self._min(u)[0] / _KEY_SCALE
 
     # ---------------- slot updates with change tracking ----------------
 
-    def _slot_set(self, y: int, source: int, value: int) -> None:
-        fm = self._fill[y]
+    def _slot_set(self, y: int, source: int, value: tuple[int, int]) -> None:
+        src, fm = self._src[y], self._fill[y]
         if y not in self._pre_min:
-            self._pre_min[y] = fm.min()
-        fm.set(source, value)
+            self._pre_min[y] = fm[0]
+        old = src.get(source)
+        if old is not None:
+            fm.remove(old)
+        src[source] = value
+        fm.add(value)
         self.counters["updates"] += 1
 
-    def _slot_pop(self, y: int, source: int) -> int:
+    def _slot_pop(self, y: int, source: int) -> tuple[int, int]:
         fm = self._fill[y]
         if y not in self._pre_min:
-            self._pre_min[y] = fm.min()
-        value = fm.pop(source)
+            self._pre_min[y] = fm[0]
+        value = self._src[y].pop(source)
+        fm.remove(value)
         self.counters["updates"] += 1
         return value
 
@@ -135,22 +141,22 @@ class DynamicSketch:
 
     def on_pivot_begin(self, v: int, nr: list[int], nc: list[int]) -> None:
         key = self._key
-        rk = LazyMinHeap(key[y] for y in nr)
+        rk = SortedList(key[y] for y in nr)
         self._rkeys[v] = rk
         for y in nr:
             self._slot_pop(y, v)
         if nr:
-            mv = rk.min()
+            mv = rk[0]
             for y in nr:
                 self._slot_set(y, v, mv)
-        self._fill[v] = None
+        self._src[v] = self._fill[v] = None
 
     def on_unlink(self, w: int, v: int, nrem_w) -> None:
         rk = self._rkeys[w]
-        before = rk.min()
-        rk.discard(self._key[v])
+        before = rk[0]
+        rk.remove(self._key[v])
         self.counters["updates"] += 1
-        after = rk.min()
+        after = rk[0] if rk else None
         if before != after and len(nrem_w):
             self.counters["informs"] += len(nrem_w)
             for y in nrem_w:
@@ -159,8 +165,8 @@ class DynamicSketch:
     def on_meld(self, winner: int, loser: int, nrem_winner, nrem_loser) -> None:
         rw = self._rkeys[winner]
         rl = self._rkeys[loser]
-        mw = rw.min()
-        ml = rl.min()
+        mw = rw[0] if rw else None
+        ml = rl[0] if rl else None
         if ml is not None and (mw is None or ml < mw):
             # winner's side sees a smaller component minimum
             self.counters["informs"] += len(nrem_winner)
@@ -175,8 +181,7 @@ class DynamicSketch:
         key = self._key
         for y in nrem_loser:
             value = self._slot_pop(y, loser)
-            fm = self._fill[y]
-            if winner not in fm:
+            if winner not in self._src[y]:
                 self._slot_set(y, winner, value)
             # else: duplicate contributor slot dies; both carry the merged min
             if y not in nrem_winner:
@@ -195,7 +200,7 @@ class DynamicSketch:
         fill = self._fill
         out = sorted(
             y for y, pre in self._pre_min.items()
-            if fill[y] is not None and fill[y].min() != pre
+            if fill[y] is not None and fill[y][0] != pre
         )
         self._pre_min.clear()
         self.counters["changed_total"] += len(out)

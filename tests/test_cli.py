@@ -113,6 +113,29 @@ def test_gen_mtx_roundtrip(capsys, tmp_path):
     assert code == 0 and json.loads(out)["n"] == 12
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("--model", "gnp", "--n", "-1", "--p", "0.5"), "--n"),
+    (("--model", "gnp", "--n", "5", "--p", "2"), "--p"),
+    (("--model", "gnp", "--n", "5", "--p", "-0.1"), "--p"),
+    (("--model", "gnp", "--n", "5", "--p", "nan"), "--p"),
+    (("--model", "ov", "--n", "0"), "--n"),
+    (("--model", "ov", "--n", "4", "--d", "0"), "--d"),
+    (("--model", "ov", "--n", "4", "--density", "1.5"), "--density"),
+    (("--model", "ov", "--n", "4", "--density", "-0.5"), "--density"),
+])
+def test_gen_rejects_invalid_parameters(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "gen", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("fillorder:") and flag in err
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-0.5", "nan"])
+def test_demo_rejects_nonpositive_epsilon(capsys, epsilon):
+    code, out, err = run_cli(capsys, "demo", "adversary", "--n", "64", "--epsilon", epsilon)
+    assert code == 2 and out == ""
+    assert err.startswith("fillorder:") and "--epsilon" in err
+
+
 def test_demo_adversary_fixed(capsys):
     code, out, _ = run_cli(capsys, "demo", "adversary", "--mode", "fixed",
                            "--n", "64", "--epsilon", "0.5", "--seed", "1")

@@ -196,7 +196,7 @@ def test_truncation_bias_bound():
     nnz = int(a.sum())
     nzc = n
     draws = 200_000
-    _, js = o.sample_nonzero_batch(rng, draws)
+    js = o.sample_nonzero_batch(rng, draws)
     counters = o.hit_times_batch(js, lim, rng)
     vals = counters / lim
     target = o.r * nzc / (lim * nnz)

@@ -1,5 +1,6 @@
 """Differential tests: the array-backed SketchEnsemble against k per-copy
-DynamicSketch structures (tests/sketch_reference.py), after every pivot."""
+DynamicSketch structures (tests/sketch_reference.py) and against explicit
+fill graphs, after every pivot."""
 
 import itertools
 
@@ -8,6 +9,8 @@ import pytest
 
 from conftest import all_graphs, gnp
 from fillorder import ordering, sketch
+from fillorder import rng as rngmod
+from fillorder.bruteforce import fill_graph_bruteforce
 from fillorder.buckets import ApproxDegreeDS
 from fillorder.generators import grid2d_graph
 from fillorder.graph import from_edges, path_graph, star_graph
@@ -77,6 +80,60 @@ def test_criterion_1_family_matches_reference():
             _drive(g, rng.permutation(n), seed=checks % 64, k=3)
             checks += 1
     assert checks > 1000
+
+
+def _check_against_fill_graph(g, order, seed, k) -> None:
+    """Pivot `order` on an ensemble and compare, after every pivot, each
+    copy's minimizer and minimum key with the (draw, vertex)-smallest key
+    over the closed neighborhood in the explicit fill graph."""
+    draws = [rngmod.substream(seed, rngmod.SKETCH_KEYS, i).integers(1, 2**64, size=g.n,
+                                                                     dtype=np.uint64)
+             for i in range(k)]
+    ens = SketchEnsemble(g, seed, k)
+    eliminated = []
+    for v in [None, *order]:
+        if v is not None:
+            ens.pivot(int(v))
+            eliminated.append(int(v))
+        fill = fill_graph_bruteforce(g, eliminated)
+        rows = sorted(fill)
+        want = [[min((u, *fill[u]), key=lambda x: (int(d[x]), x)) for d in draws] for u in rows]
+        assert ens.minimizers(rows).tolist() == want
+        assert ens.min_key_floats(rows).tolist() == \
+            [[float(d[x]) / 2**64 for d, x in zip(draws, w)] for w in want]
+
+
+def test_criterion_1_family_matches_fill_graph():
+    rng = np.random.default_rng(16)
+    checks = 0
+    for n in range(1, 5):
+        for g in all_graphs(n):
+            for order in itertools.permutations(range(n)):
+                _check_against_fill_graph(g, order, seed=checks % 64, k=3)
+                checks += 1
+    for g in all_graphs(5):
+        _check_against_fill_graph(g, rng.permutation(5), seed=checks % 64, k=3)
+        checks += 1
+    for n in (6, 7):
+        for _ in range(20):
+            g = gnp(n, float(rng.uniform(0.1, 0.9)), rng)
+            _check_against_fill_graph(g, rng.permutation(n), seed=checks % 64, k=3)
+            checks += 1
+    assert checks > 1000
+
+
+def test_equal_draws_break_ties_by_vertex_id(monkeypatch):
+    # every copy draws the same key for every vertex, so each minimum is
+    # held by the smallest vertex id in the closed fill neighborhood
+    monkeypatch.setattr(rngmod, "sketch_key_draws",
+                        lambda seed, first, count, n: np.full((count, n), 7, dtype=np.uint64))
+    g = path_graph(6)
+    ens = SketchEnsemble(g, 0, 2)
+    assert ens.minimizers(range(6)).tolist() == [[0, 0], [0, 0], [1, 1], [2, 2], [3, 3], [4, 4]]
+    ens.pivot(3)
+    assert ens.minimizers([0, 1, 2, 4, 5]).tolist() == [[0, 0], [0, 0], [1, 1], [2, 2], [4, 4]]
+    ens.pivot(0)
+    assert ens.minimizers([1, 2, 4, 5]).tolist() == [[1, 1], [1, 1], [2, 2], [4, 4]]
 
 
 def test_copies_added_mid_run_match_replayed_reference():

@@ -43,6 +43,19 @@ def test_figure_graph_fixed_keys():
     assert sk.query_min(5) == 0  # v1 reaches v6 through the component
 
 
+def test_equal_draws_break_ties_by_vertex_id():
+    # all keys share one draw, so each minimum is held by the smallest
+    # vertex id in the closed fill neighborhood
+    g = path_graph(6)
+    sk = fixed_key_sketch(g, [0.5] * 6)
+    assert [sk.query_min(u) for u in range(6)] == [0, 0, 1, 2, 3, 4]
+    sk.pivot_vertex(3)
+    assert [sk.query_min(u) for u in (0, 1, 2, 4, 5)] == [0, 0, 1, 2, 4]
+    sk.pivot_vertex(0)
+    assert [sk.query_min(u) for u in (1, 2, 4, 5)] == [1, 1, 2, 4]
+    assert all(sk.min_key_float(u) == 0.5 for u in (1, 2, 4, 5))
+
+
 def test_pivot_isolated_vertex_changes_nothing():
     g = from_edges(4, [(0, 1)])
     sk = new_sketch(g, np.random.default_rng(1))
