@@ -217,11 +217,14 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_gen(args) -> int:
     seed = args.seed
+    if args.n < 1:
+        # order and estimate refuse a graph with no vertices
+        raise _CliError(EXIT_FLAGS, "--n must be at least 1")
     if args.model == "gnp":
         if args.p is None:
             raise _CliError(EXIT_FLAGS, "gnp requires --p")
-        if args.n < 0 or not 0 <= args.p <= 1:
-            raise _CliError(EXIT_FLAGS, "gnp needs --n >= 0 and --p in [0, 1]")
+        if not 0 <= args.p <= 1:
+            raise _CliError(EXIT_FLAGS, "gnp needs --p in [0, 1]")
         g = gnp_graph(args.n, args.p, rngmod.substream(rngmod.normalize_seed(seed), rngmod.GENERATOR))
     elif args.model == "grid2d":
         try:
@@ -229,8 +232,8 @@ def _cmd_gen(args) -> int:
         except ValueError as e:
             raise _CliError(EXIT_FLAGS, str(e)) from e
     elif args.model == "ov":
-        if args.n < 1 or args.d < 1:
-            raise _CliError(EXIT_FLAGS, "ov needs --n >= 1 and --d >= 1")
+        if args.d < 1:
+            raise _CliError(EXIT_FLAGS, "ov needs --d >= 1")
         if not 0 <= args.density <= 1:
             raise _CliError(EXIT_FLAGS, "--density must be in [0, 1]")
         vectors = random_ov_instance(args.n, args.d, args.density, seed)
@@ -259,7 +262,8 @@ def _cmd_demo(args) -> int:
     try:
         report = adversary_demo(args.n, args.epsilon, args.mode, args.seed)
     except ValueError as e:
-        raise _CliError(EXIT_FLAGS, str(e)) from e
+        # each message starts with the parameter name, which is the flag's
+        raise _CliError(EXIT_FLAGS, f"--{e}") from e
     _emit(args, {"schema": 1, **report})
     return EXIT_OK
 

@@ -14,6 +14,15 @@ All estimators run on a stopping-rule mean estimator: draw from a [0,1]
 distribution until the running sum crosses a threshold, then return
 threshold / draw count.  Draws are generated in batches; the batch is cut
 at the exact crossing point, so results match one-at-a-time sampling.
+
+The estimators' inner loops probe uniform rows until some column is hit:
+once (capped hitting times) or until a count of hits (column sums).  An
+explicit matrix knows every column sum c_j, so `DenseOracle` simulates
+that probe process from its law instead of probing: a capped hitting time
+is min(Geometric(c_j / r), lim), and the probes until the h-th hit number
+h + NegativeBinomial(h, c_j / r).  `queries` counts the probes the
+simulated process makes, so query counts keep the law of row-by-row
+probing.
 """
 
 from __future__ import annotations
@@ -105,6 +114,12 @@ class DenseOracle:
         self.r = a.shape[0]
         self.n_ref = n_ref if n_ref is not None else a.shape[1]
         self._flat_cols = np.nonzero(a)[1]
+        self._colsum = a.sum(axis=0)
+        # Geometric(p) is ceil(E / -log(1 - p)) for E ~ Exp(1): the per-column
+        # scale 1 / -log(1 - c_j / r), infinite for an all-zero column
+        with np.errstate(divide="ignore"):
+            self._hit_scale = np.where(self._colsum > 0,
+                                       -1.0 / np.log1p(-self._colsum / self.r), np.inf)
         self.queries = 0
 
     @property
@@ -119,25 +134,32 @@ class DenseOracle:
         t = rng.integers(0, len(self._flat_cols), size=size)
         return self._flat_cols[t]
 
-    def query_values(self, rows: np.ndarray, j: int) -> np.ndarray:
-        self.queries += len(rows)
-        return self._a[rows, j].astype(np.float64)
-
     def hit_times_batch(self, js: np.ndarray, lim: int, rng) -> np.ndarray:
         """For each column j: number of uniform row probes until hitting a
-        nonzero of column j, capped at lim (the capping probe included)."""
-        m = len(js)
-        res = np.zeros(m, dtype=np.int64)
-        active = np.arange(m)
-        a = self._a
-        while active.size:
-            rows = rng.integers(0, self.r, size=active.size)
-            res[active] += 1
-            hit = a[rows, js[active]]
-            done = hit | (res[active] >= lim)
-            active = active[~done]
+        nonzero of column j, capped at lim (the capping probe included).
+
+        Simulated from the column sum: min(Geometric(c_j / r), lim), and
+        lim for an all-zero column; `queries` grows by the probe count.
+        The geometric draw is the inverse transform of one exponential,
+        which costs half of `rng.geometric` with per-column p."""
+        e = rng.standard_exponential(len(js)) * self._hit_scale[js]
+        res = np.clip(np.ceil(e), 1, lim).astype(np.int64)
         self.queries += int(res.sum())
         return res
+
+    def probes_until_hits(self, j: int, hits: int, rng, max_draws: int) -> int:
+        """Number of uniform row probes until the hits-th nonzero of column
+        j, simulated as hits + NegativeBinomial(hits, c_j / r).  Raises
+        DrawBudgetExceeded, after charging max_draws probes, when that
+        number exceeds max_draws or the column is all zero."""
+        c = self._colsum[j]
+        # an all-zero column never reaches its first hit
+        count = hits + int(rng.negative_binomial(hits, c / self.r)) if c else math.inf
+        if count > max_draws:
+            self.queries += max_draws
+            raise DrawBudgetExceeded(f"no crossing after {max_draws} draws")
+        self.queries += count
+        return count
 
 
 class FillNeighborhoodOracle(DenseOracle):
@@ -169,22 +191,19 @@ class FillNeighborhoodOracle(DenseOracle):
 # estimators
 
 
-class _ColumnBernoulli:
-    def __init__(self, oracle, j: int):
-        self.oracle = oracle
-        self.j = int(j)
-
-    def draw_batch(self, rng, size: int) -> np.ndarray:
-        rows = rng.integers(0, self.oracle.r, size=size)
-        return self.oracle.query_values(rows, self.j)
-
-
 def approx_column_sum(oracle, j: int, eps: float, delta: float, rng,
                       max_draws: int = DEFAULT_MAX_DRAWS) -> float:
     """Columns sum estimate within (1 +/- eps) with failure probability
-    delta; cost scales inversely with the column sum."""
+    delta; cost scales inversely with the column sum.
+
+    The stopping-rule mean estimate over Bernoulli(c_j / r) row probes:
+    the running sum of 0/1 probes first reaches sigma at the ceil(sigma)-th
+    hit, so the draw count is the oracle's probe count to that hit."""
     sigma = 5.0 * eps**-2 * math.log(1.0 / delta)
-    return oracle.r * estimate_mean(_ColumnBernoulli(oracle, j), sigma, rng, max_draws)
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    count = oracle.probes_until_hits(j, math.ceil(sigma), rng, max_draws)
+    return oracle.r * sigma / count
 
 
 class _GlobalInverseColumnSum:
@@ -200,18 +219,15 @@ class _GlobalInverseColumnSum:
 
     def draw_batch(self, rng, size: int) -> np.ndarray:
         js = self.oracle.sample_nonzero_batch(rng, size)
+        cols, first, at = np.unique(js, return_index=True, return_inverse=True)
         memo = self.memo
-        out = np.empty(size)
-        for t in range(size):
-            j = int(js[t])
-            val = memo.get(j)
-            if val is None:
+        # unseen columns in order of first draw, as drawing one at a time would
+        for j in cols[np.argsort(first)].tolist():
+            if j not in memo:
                 est = approx_column_sum(self.oracle, j, self.eps, self.delta, rng,
                                         self.max_draws)
-                val = min(1.0, 1.0 / est) if est > 0 else 1.0
-                memo[j] = val
-            out[t] = val
-        return out
+                memo[j] = min(1.0, 1.0 / est) if est > 0 else 1.0
+        return np.array([memo[j] for j in cols.tolist()])[at]
 
 
 def estimate_nonzero_columns_slow(oracle, eps: float, rng,

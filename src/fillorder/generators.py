@@ -164,6 +164,10 @@ def adversary_demo(n: int, eps: float, mode: str, seed: int) -> dict:
         raise ValueError(f"unknown mode {mode!r}")
     rng = rngmod.substream(rngmod.normalize_seed(seed), rngmod.DEMO)
     t_size = max(1, math.ceil(math.log2(n) * eps**-2))
+    if t_size > n:
+        # T is drawn without replacement, so it cannot outgrow the set
+        raise ValueError(f"epsilon must be at least sqrt(log2(n) / n) = "
+                         f"{math.sqrt(math.log2(n) / n):.4g} for n = {n}")
     member = np.ones(n, dtype=bool)
 
     fixed_t = rng.choice(n, size=t_size, replace=False)

@@ -122,6 +122,9 @@ def test_gen_mtx_roundtrip(capsys, tmp_path):
     (("--model", "ov", "--n", "4", "--d", "0"), "--d"),
     (("--model", "ov", "--n", "4", "--density", "1.5"), "--density"),
     (("--model", "ov", "--n", "4", "--density", "-0.5"), "--density"),
+    (("--model", "gnp", "--n", "0", "--p", "0.5"), "--n"),
+    (("--model", "grid2d", "--n", "0"), "--n"),
+    (("--model", "grid2d", "--n", "-4"), "--n"),
 ])
 def test_gen_rejects_invalid_parameters(capsys, argv, flag):
     code, out, err = run_cli(capsys, "gen", *argv)
@@ -134,6 +137,25 @@ def test_demo_rejects_nonpositive_epsilon(capsys, epsilon):
     code, out, err = run_cli(capsys, "demo", "adversary", "--n", "64", "--epsilon", epsilon)
     assert code == 2 and out == ""
     assert err.startswith("fillorder:") and "--epsilon" in err
+
+
+@pytest.mark.parametrize("epsilon", ["0.1", "0.3"])
+def test_demo_rejects_epsilon_too_small_for_n(capsys, epsilon):
+    # n = 64 needs eps >= sqrt(6 / 64) ~ 0.306 for the sample T to fit
+    code, out, err = run_cli(capsys, "demo", "adversary", "--n", "64", "--epsilon", epsilon)
+    assert code == 2 and out == ""
+    assert err.startswith("fillorder:") and "--epsilon" in err and "0.3062" in err
+
+
+def test_demo_accepts_smallest_epsilon_for_n(capsys):
+    code, out, _ = run_cli(capsys, "demo", "adversary", "--n", "64", "--epsilon", "0.31")
+    assert code == 0 and json.loads(out)["t_size"] == 63
+
+
+def test_demo_rejects_n_below_16(capsys):
+    code, out, err = run_cli(capsys, "demo", "adversary", "--n", "8")
+    assert code == 2 and out == ""
+    assert err.startswith("fillorder:") and "--n must be at least 16" in err
 
 
 def test_demo_adversary_fixed(capsys):

@@ -3,8 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from colcount_reference import (
+    OneAtATimeInverseColumnSum,
+    column,
+    ks_critical,
+    ks_statistic,
+    probe_column_sum,
+    probe_hit_times,
+)
 from conftest import random_elimination_state
+from fillorder import colcount
 from fillorder.colcount import (
+    DEFAULT_MAX_DRAWS,
     BernoulliDistribution,
     ConstantDistribution,
     DenseOracle,
@@ -246,3 +256,114 @@ def test_fill_neighborhood_oracle_matches_dense_oracle_on_independent_rows(rng):
         want = estimate_nonzero_columns(dense, 0.5, np.random.default_rng(trial))
         assert got == want
         assert o.queries == dense.queries
+
+
+# -- the simulated probe process against row-by-row probing ----------------
+
+
+def _within_sampling_error(x: np.ndarray, y: np.ndarray, z: float = 4.0) -> bool:
+    se = math.sqrt(x.var() / len(x) + y.var() / len(y))
+    return abs(x.mean() - y.mean()) <= z * se
+
+
+@pytest.mark.parametrize("r, sums, lim", [
+    (20, (1, 5, 0), 30),  # p = 0.05 reaches the cap in ~23% of draws
+    (10, (3, 10), 4),     # p = 0.3 in ~34%; a full column hits at once
+    (40, (10, 1), 8),     # p = 0.25 in ~13%, p = 0.025 in ~84%
+])
+def test_hit_times_match_probing_loop(r, sums, lim):
+    a = np.zeros((r, len(sums)), dtype=bool)
+    for j, c in enumerate(sums):
+        a[:c, j] = True
+    draws = 20_000
+    js = np.random.default_rng([15, r]).integers(0, len(sums), size=draws)
+    o = DenseOracle(a)
+    got = o.hit_times_batch(js, lim, np.random.default_rng([16, r]))
+    want = probe_hit_times(a, js, lim, np.random.default_rng([17, r]))
+    assert o.queries == got.sum()
+    assert got.min() >= 1 and got.max() <= lim
+    for j, c in enumerate(sums):
+        g, w = got[js == j], want[js == j]
+        assert ks_statistic(g, w) <= ks_critical(len(g), len(w)), (j, c)
+        if c == 0:
+            assert (g == lim).all()
+        elif c < r:
+            assert (g == lim).any() and (g < lim).any()
+    assert _within_sampling_error(got, want)
+
+
+@pytest.mark.parametrize("r, c, eps, delta", [
+    (4, 3, 1.0, 0.5),    # sigma 3.47: 4 hits at p = 0.75
+    (10, 1, 1.0, 0.5),   # 4 hits at p = 0.1
+    (5, 5, 0.8, 0.3),    # a full column: always ceil(sigma) = 10 probes
+    (20, 7, 0.5, 0.2),   # sigma 32.2: 33 hits at p = 0.35
+])
+def test_column_sum_stopping_counts_match_bernoulli_rule(r, c, eps, delta):
+    a = column(r, c)
+    sigma = 5.0 * eps**-2 * math.log(1.0 / delta)
+    trials = 3000
+    got, want = [], []
+    rng_new = np.random.default_rng([18, r, c])
+    rng_ref = np.random.default_rng([19, r, c])
+    for _ in range(trials):
+        o = DenseOracle(a)
+        est = approx_column_sum(o, 0, eps, delta, rng_new)
+        assert est == r * sigma / o.queries
+        got.append(o.queries)
+        want.append(probe_column_sum(a, 0, eps, delta, rng_ref)[1])
+    got, want = np.array(got), np.array(want)
+    assert got.min() >= math.ceil(sigma) and want.min() >= math.ceil(sigma)
+    assert ks_statistic(got, want) <= ks_critical(trials, trials)
+    assert _within_sampling_error(got, want)
+
+
+def test_column_sum_budget_matches_bernoulli_rule():
+    # a zero column and a budget below the hit count both raise after
+    # charging exactly max_draws probes; a budget equal to it does not
+    eps, delta = 1.0, 0.5  # ceil(sigma) = 4 hits
+    for a, max_draws in ((column(6, 0), 5000), (column(4, 3), 3), (column(4, 4), 3)):
+        o = DenseOracle(a)
+        with pytest.raises(DrawBudgetExceeded):
+            approx_column_sum(o, 0, eps, delta, np.random.default_rng(0), max_draws)
+        assert o.queries == max_draws
+        with pytest.raises(DrawBudgetExceeded):
+            probe_column_sum(a, 0, eps, delta, np.random.default_rng(0), max_draws)
+    o = DenseOracle(column(4, 4))
+    assert approx_column_sum(o, 0, eps, delta, np.random.default_rng(0), 4) == 4 * 5 * math.log(2) / 4
+    assert o.queries == 4
+    assert probe_column_sum(column(4, 4), 0, eps, delta, np.random.default_rng(0), 4)[1] == 4
+
+
+def test_column_sum_zero_column_raises_at_default_budget():
+    o = DenseOracle(column(6, 0))
+    with pytest.raises(DrawBudgetExceeded):
+        approx_column_sum(o, 0, 0.5, 0.01, np.random.default_rng(0))
+    assert o.queries == DEFAULT_MAX_DRAWS
+
+
+def test_column_sum_rejects_nonpositive_sigma():
+    with pytest.raises(ValueError):
+        approx_column_sum(DenseOracle(column(4, 2)), 0, 0.5, 1.0, np.random.default_rng(0))
+
+
+def test_slow_estimator_matches_one_at_a_time_draws(monkeypatch):
+    # the batched memo estimates unseen columns in order of first draw, so
+    # estimates and query counts equal the draw-by-draw loop's exactly
+    rng = np.random.default_rng(20)
+    cases = []
+    while len(cases) < 80:
+        a = rng.random((int(rng.integers(1, 12)), int(rng.integers(1, 12)))) < rng.random()
+        if a.any():
+            cases.append(a)
+
+    def run():
+        out = []
+        for t, a in enumerate(cases):
+            o = DenseOracle(a)
+            out.append((estimate_nonzero_columns_slow(o, 0.5, np.random.default_rng([21, t])),
+                        o.queries))
+        return out
+
+    batched = run()
+    monkeypatch.setattr(colcount, "_GlobalInverseColumnSum", OneAtATimeInverseColumnSum)
+    assert run() == batched

@@ -127,6 +127,12 @@ def test_adversary_rejects_small_n():
         adversary_demo(8, 0.5, "fixed", 0)
 
 
+def test_adversary_rejects_sample_larger_than_n():
+    # T takes ceil(log2 n / eps^2) distinct elements: 600 > 64 here
+    with pytest.raises(ValueError, match="epsilon"):
+        adversary_demo(64, 0.1, "fixed", 0)
+
+
 def test_adversary_t_size_guard():
     # degenerate parameters still produce a nonempty secret sample
     rep = adversary_demo(16, 0.5, "fixed", 0)
