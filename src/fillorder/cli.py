@@ -98,15 +98,7 @@ def _cmd_order(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise _CliError(EXIT_FLAGS, f"unknown algorithm {args.algorithm}")
     wall = time.perf_counter() - t0
-    if args.algorithm in ("bruteforce", "approx"):
-        # both report each pivot's fill degree computed exactly at
-        # elimination, and each edge of the filled graph is counted once,
-        # at its earlier endpoint.  The sketch drivers' degrees are
-        # minimizer counts, exact only with high probability and only
-        # below the copy budget, so their fill is replayed.
-        fill = sum(result.reported_degree) - g.m
-    else:
-        fill = total_fill(g, result.order)
+    fill = total_fill(g, result.order)
 
     report = {
         "schema": 1,

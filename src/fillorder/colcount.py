@@ -7,8 +7,8 @@ matrix, the fill 1-degree equals the number of nonzero columns, which is
 estimated by sampling with three oracle operations: row sizes, uniform
 draws from a row, and single entry lookups.  One `DenseOracle` answers
 them for explicit matrices and, through `FillNeighborhoodOracle`, for a
-component graph, whose rows it stores densely over the distinct columns
-that occur in them.
+component graph.  Either way the oracle keeps only the column indices of
+the nonzeros, row by row, and the column sums; no dense matrix.
 
 All estimators run on a stopping-rule mean estimator: draw from a [0,1]
 distribution until the running sum crosses a threshold, then return
@@ -104,17 +104,23 @@ class BernoulliDistribution:
 
 
 class DenseOracle:
-    """Oracle over an explicit 0/1 matrix."""
+    """Oracle over an explicit 0/1 matrix, kept as the column indices of
+    its nonzeros, row-major and ascending within a row, and its column
+    sums."""
 
     def __init__(self, matrix: np.ndarray, n_ref: int | None = None):
         a = np.asarray(matrix, dtype=bool)
         if a.ndim != 2:
             raise ValueError("matrix must be 2-dimensional")
-        self._a = a
-        self.r = a.shape[0]
-        self.n_ref = n_ref if n_ref is not None else a.shape[1]
-        self._flat_cols = np.nonzero(a)[1]
-        self._colsum = a.sum(axis=0)
+        self._set_rows(a.shape[0], np.nonzero(a)[1], a.shape[1],
+                       a.shape[1] if n_ref is None else n_ref)
+
+    def _set_rows(self, r: int, flat_cols: np.ndarray, ncols: int, n_ref: int) -> None:
+        """r rows over ncols columns, with nonzeros in columns flat_cols."""
+        self.r = r
+        self.n_ref = n_ref
+        self._flat_cols = flat_cols
+        self._colsum = np.bincount(flat_cols, minlength=ncols)
         # Geometric(p) is ceil(E / -log(1 - p)) for E ~ Exp(1): the per-column
         # scale 1 / -log(1 - c_j / r), infinite for an all-zero column
         with np.errstate(divide="ignore"):
@@ -175,16 +181,15 @@ class FillNeighborhoodOracle(DenseOracle):
     def __init__(self, cgraph: ComponentGraph, u: int):
         if not cgraph.is_remaining(u):
             raise ValueError(f"vertex {u} is not remaining")
-        rows = [[u, *cgraph.remaining_neighbors(u)]]
-        # ascending component ids fix the row order, hence seeded estimates
-        rows += [cgraph.remaining_neighbors(x) for x in sorted(cgraph.component_neighbors(u))]
-        sizes = [len(row) for row in rows]
+        # rows sorted, so the unique-column inverse is ascending within each
+        # row; ascending component ids fix the row order, hence seeded estimates
+        rows = [sorted([u, *cgraph.remaining_neighbors(u)])]
+        rows += [sorted(cgraph.remaining_neighbors(x))
+                 for x in sorted(cgraph.component_neighbors(u))]
         flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
-                           count=sum(sizes))
+                           count=sum(map(len, rows)))
         self.cols, at = np.unique(flat, return_inverse=True)
-        mask = np.zeros((len(rows), len(self.cols)), dtype=bool)
-        mask[np.repeat(np.arange(len(rows)), sizes), at] = True
-        super().__init__(mask, n_ref=cgraph.n)
+        self._set_rows(len(rows), at, len(self.cols), cgraph.n)
 
 
 # ---------------------------------------------------------------------------

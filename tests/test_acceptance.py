@@ -18,6 +18,7 @@ from fillorder.bruteforce import (
     fill_degree_bruteforce,
     fill_graph_bruteforce,
     greedy_degree_trace,
+    total_fill,
 )
 from fillorder.buckets import static_one_degree_quantiles
 from fillorder.colcount import (
@@ -356,7 +357,11 @@ def test_criterion_14_scaling_smoke():
         t0 = time.time()
         r = approx_min_degree_sequence(g, 0.5, seed=1)
         times[g.m] = time.time() - t0
-        evals[g.m] = f"exact {r.counters['exact_evals']}"
+        # ordering quality, outside the timed region: every reported degree
+        # is an exact fill degree, so the fill is their sum minus m
+        fill = total_fill(g, r.order)
+        assert fill == sum(r.reported_degree) - g.m, (g.m, fill)
+        evals[g.m] = f"exact {r.counters['exact_evals']}, fill {fill}"
     (m1, t1), (m2, t2) = sorted(times.items())
     record(14, "scaling smoke",
            t1 < 300 and t2 < 300 and t2 / t1 <= 3,

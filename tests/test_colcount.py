@@ -235,8 +235,8 @@ def test_row_layout_of_fill_neighborhood_oracle():
     cg = fig_component_graph()
     o = FillNeighborhoodOracle(cg, 1)
     # row 0: closed remaining neighborhood of v2; row 1: the merged component
-    assert list(o.cols[o._a[0]]) == [0, 1, 2]
-    assert list(o.cols[o._a[1]]) == [0, 1, 3, 5]
+    assert o.r == 2
+    assert list(o.cols[o._flat_cols]) == [0, 1, 2] + [0, 1, 3, 5]
 
 
 def test_fill_neighborhood_oracle_matches_dense_oracle_on_independent_rows(rng):

@@ -196,7 +196,8 @@ def test_eval_count_tripwire(rng):
     lambda: grid2d_graph(64),
 ], ids=["gnp40", "gnp60", "gnp50-dense", "grid8x8"])
 def test_reported_degrees_are_exact_fill_degrees(make):
-    # `fillorder order` sums these degrees for total_fill without a replay
+    # each edge of the filled graph is counted once, at its earlier
+    # endpoint, so the sum of these degrees minus m is the total fill
     g = make()
     for seed in (0, 7):
         r = approx_min_degree_sequence(g, 0.5, seed)
