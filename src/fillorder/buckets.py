@@ -3,10 +3,14 @@
 Maintains k sketch copies over one shared component graph, as one
 array-backed `SketchEnsemble`.  For each remaining vertex the
 floor(k(1-1/e))-ranked minimizer key value Q(u) concentrates near
-1/(deg+1), so vertices can be bucketed by powers of (1+eps) of 1/Q and
-reported as contiguous ranges of a global index ordered by Q.  A pivot
-recomputes Q only for the vertices whose minimum changed in some copy,
-reading their k minimum keys through the ensemble's rank -> draw table.
+1/(deg+1), so vertices are bucketed by powers of (1+eps) of 1/Q.  Each
+nonempty bucket keeps a plain list of its members, the degree lists of
+AMD (Amestoy, Davis & Duff 1996): a vertex is appended on entry and
+swap-removed on exit, so a move costs O(1) and a uniform member pick is
+a list index.  A pivot recomputes Q only for the vertices whose minimum
+changed in some copy, reading their k minimum keys through the
+ensemble's rank -> draw table, and moves a vertex only when its bucket
+changes.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from sortedcontainers import SortedList
 
 from . import rng as rngmod
 from .graph import StaticGraph
@@ -33,32 +36,9 @@ def sketch_count(n: int, eps: float) -> int:
 
 def quantile_rank(k: int) -> int:
     """1-based rank of the quantile used for degree estimation."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     return min(k, max(1, math.floor(k * QUANTILE_FRACTION)))
-
-
-class _BucketView:
-    """Read-only view of one bucket: a contiguous slice of the global
-    (Q, vertex) index.  Valid until the next pivot."""
-
-    __slots__ = ("_sl", "_start", "_stop", "bucket_id")
-
-    def __init__(self, sl: SortedList, start: int, stop: int, bucket_id: int):
-        self._sl = sl
-        self._start = start
-        self._stop = stop
-        self.bucket_id = bucket_id
-
-    def __len__(self) -> int:
-        return self._stop - self._start
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        return self._sl[self._start + i][1]
-
-    def __iter__(self):
-        for i in range(self._start, self._stop):
-            yield self._sl[i][1]
 
 
 class ApproxDegreeDS:
@@ -72,8 +52,45 @@ class ApproxDegreeDS:
         self.rank = quantile_rank(self.k)
         self.ensemble = SketchEnsemble(g, rngmod.normalize_seed(seed), self.k)
         self.cgraph = self.ensemble.cgraph
-        self._q: list[float] = self.ensemble.quantiles(np.arange(g.n), self.rank).tolist()
-        self._index = SortedList(zip(self._q, range(g.n)))
+        self._q: list[float] = [0.0] * g.n
+        self._bucket = [-1] * g.n
+        self._pos = [0] * g.n
+        self._members: dict[int, list[int]] = {}
+        self._place(range(g.n), self.ensemble.quantiles(np.arange(g.n), self.rank).tolist())
+
+    def _leave(self, u: int) -> None:
+        """Swap-remove u from its bucket's member list."""
+        b = self._bucket[u]
+        members = self._members[b]
+        last = members.pop()
+        if last != u:
+            members[self._pos[u]] = last
+            self._pos[last] = self._pos[u]
+        elif not members:
+            del self._members[b]
+        self._bucket[u] = -1
+
+    def _place(self, rows, qs) -> None:
+        """Set the quantiles of `rows`, taken in the given order, to `qs`.
+        A row whose bucket id changes leaves its old member list and is
+        appended to its new one."""
+        base = 1.0 + self.eps
+        log_base = math.log(base)
+        for y, q in zip(rows, qs):
+            self._q[y] = q
+            # the smallest i >= 0 with base^-(i+1) <= q: the log's estimate
+            # less one stays below it despite rounding, and steps up
+            # against the float powers
+            b = max(0, int(-math.log(q) / log_base) - 1)
+            while base ** -(b + 1) > q:
+                b += 1
+            if b != self._bucket[y]:
+                if self._bucket[y] >= 0:
+                    self._leave(y)
+                members = self._members.setdefault(b, [])
+                self._bucket[y] = b
+                self._pos[y] = len(members)
+                members.append(y)
 
     # ---------------- queries ----------------
 
@@ -87,44 +104,23 @@ class ApproxDegreeDS:
     def pivot(self, u: int) -> None:
         if not self.cgraph.is_remaining(u):
             raise ValueError(f"vertex {u} is not remaining")
-        self._index.remove((self._q[u], u))
+        self._leave(u)
         rows = self.ensemble.pivot(u)
         if len(rows):
-            qs = self.ensemble.quantiles(rows, self.rank).tolist()
-            for y, q in zip(rows.tolist(), qs):
-                if q != self._q[y]:
-                    self._index.remove((self._q[y], y))
-                    self._index.add((q, y))
-                    self._q[y] = q
+            self._place(rows.tolist(), self.ensemble.quantiles(rows, self.rank).tolist())
 
     # ---------------- reporting ----------------
 
-    def report(self, max_buckets: int | None = None) -> list[_BucketView]:
-        """Partition the remaining vertices into the nonempty buckets of
-        quantile ranges [(1+eps)^-(i+1), (1+eps)^-i), ascending i (low
-        degree first).
-
-        Bucket boundaries are taken from precomputed powers so the result
-        is a partition regardless of floating-point rounding."""
-        sl = self._index
-        if not sl:
+    def report(self, max_buckets: int | None = None) -> list[tuple[int, list[int]]]:
+        """(bucket id, member list) of the nonempty buckets, ascending id
+        (low degree first), at most `max_buckets` of them.  Bucket i holds
+        the remaining vertices whose quantile Q has (1+eps)^-(i+1) <= Q,
+        for the smallest such i >= 0.  Members are in the order their moves
+        left them, not by id or quantile; the lists stay valid until the
+        next pivot and must not be modified."""
+        if not self._members:
             raise ValueError("no remaining vertices")
-        base = 1.0 + self.eps
-        buckets: list[_BucketView] = []
-        stop = len(sl)
-        # smallest i whose lower boundary lies at or below the top quantile
-        q_top = sl[stop - 1][0]
-        i = max(0, int(-math.log(q_top) / math.log(base)) - 2)
-        while base ** (-(i + 1)) > q_top:
-            i += 1
-        while stop > 0 and (max_buckets is None or len(buckets) < max_buckets):
-            lo = base ** (-(i + 1))
-            start = sl.bisect_left((lo,))
-            if start < stop:
-                buckets.append(_BucketView(sl, start, stop, i))
-            stop = start
-            i += 1
-        return buckets
+        return [(b, self._members[b]) for b in sorted(self._members)[:max_buckets]]
 
 
 def static_one_degree_quantiles(g: StaticGraph, eps: float, seed: int,

@@ -197,10 +197,9 @@ def _cmd_estimate(args) -> int:
             "seed": seed,
             "sketches": k,
             "buckets": [
-                {"bucket": b.bucket_id, "vertices": list(b),
-                 "range": [(1 + args.epsilon) ** -(b.bucket_id + 1),
-                           (1 + args.epsilon) ** -b.bucket_id]}
-                for b in ds.report()
+                {"bucket": b, "vertices": sorted(members),
+                 "range": [(1 + args.epsilon) ** -(b + 1), (1 + args.epsilon) ** -b]}
+                for b, members in ds.report()
             ],
         }
     _emit(args, payload)

@@ -204,6 +204,8 @@ def approx_column_sum(oracle, j: int, eps: float, delta: float, rng,
     The stopping-rule mean estimate over Bernoulli(c_j / r) row probes:
     the running sum of 0/1 probes first reaches sigma at the ceil(sigma)-th
     hit, so the draw count is the oracle's probe count to that hit."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     sigma = 5.0 * eps**-2 * math.log(1.0 / delta)
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -212,8 +214,11 @@ def approx_column_sum(oracle, j: int, eps: float, delta: float, rng,
 
 
 class _GlobalInverseColumnSum:
-    """Uniform nonzero entry -> reciprocal of its (memoized) estimated
-    column sum, clamped into [0, 1]."""
+    """Uniform nonzero entry -> (1 - eps) over its (memoized) estimated
+    column sum, clamped into [0, 1].  The (1 - eps) factor keeps the clamp
+    from binding while the column-sum estimate is within its (1 +/- eps)
+    bound, so the draw is unbiased up to that factor; the caller divides
+    it back out."""
 
     def __init__(self, oracle, eps: float, delta: float, max_draws: int):
         self.oracle = oracle
@@ -231,20 +236,23 @@ class _GlobalInverseColumnSum:
             if j not in memo:
                 est = approx_column_sum(self.oracle, j, self.eps, self.delta, rng,
                                         self.max_draws)
-                memo[j] = min(1.0, 1.0 / est) if est > 0 else 1.0
+                memo[j] = min(1.0, (1.0 - self.eps) / est) if est > 0 else 1.0
         return np.array([memo[j] for j in cols.tolist()])[at]
 
 
 def estimate_nonzero_columns_slow(oracle, eps: float, rng,
                                   max_draws: int = DEFAULT_MAX_DRAWS) -> float:
-    """Nonzero-column estimate built from per-column sum estimates."""
+    """Nonzero-column estimate built from per-column sum estimates;
+    needs 0 < eps < 1."""
+    if not 0 < eps < 1:
+        raise ValueError("eps must be in (0, 1)")
     nnz = oracle.nnz
     if nnz == 0:
         raise ValueError("matrix has no nonzero entries")
     nref = max(2, oracle.n_ref)
     sigma = 50.0 * eps**-2 * _loge(nref)
     dist = _GlobalInverseColumnSum(oracle, eps, float(nref) ** -10, max_draws)
-    return nnz * estimate_mean(dist, sigma, rng, max_draws)
+    return nnz * estimate_mean(dist, sigma, rng, max_draws) / (1.0 - eps)
 
 
 class _NormalizedHitTime:
@@ -262,6 +270,8 @@ def estimate_nonzero_columns(oracle, eps: float, rng,
                              max_draws: int = DEFAULT_MAX_DRAWS) -> float:
     """Nonzero-column estimate from capped hitting times; expected oracle
     cost O(r log^2 n / eps^2)."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     nnz = oracle.nnz
     if nnz == 0:
         raise ValueError("matrix has no nonzero entries")
@@ -277,5 +287,7 @@ def estimate_fill_1degree(cgraph: ComponentGraph, u: int, eps: float, rng,
                           max_draws: int = DEFAULT_MAX_DRAWS) -> float:
     """Estimate of deg+(u) + 1 for a remaining vertex of a component
     graph, within (1 +/- eps) with high probability."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     oracle = FillNeighborhoodOracle(cgraph, u)
     return estimate_nonzero_columns(oracle, eps, rng, max_draws)

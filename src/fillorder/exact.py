@@ -14,11 +14,11 @@ degree.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 
 import numpy as np
-from sortedcontainers import SortedList
 
 from . import rng as rngmod
 from .graph import StaticGraph
@@ -33,13 +33,15 @@ def clog2(n: int) -> int:
 
 class MinimizerTable:
     """Distinct-minimizer counts per remaining vertex across the copies of
-    an ensemble, with a global index ordered by (distinct count, vertex
-    id).  Counts are recomputed only for the rows a pivot changed."""
+    an ensemble, with a lazy-deletion heap of (distinct count, vertex id):
+    every count change pushes an entry, and entries that no longer match
+    the current count are dropped when they reach the top.  Counts are
+    recomputed only for the rows a pivot changed."""
 
     def __init__(self, ens: SketchEnsemble, vertices):
         self._ens = ens
         self._distinct = dict.fromkeys(vertices, 0)
-        self._index = SortedList((0, u) for u in self._distinct)
+        self._heap: list[tuple[int, int]] = []
         self.add_sketches()
 
     def add_sketches(self) -> None:
@@ -53,18 +55,19 @@ class MinimizerTable:
         counts = 1 + np.count_nonzero(mz[:, 1:] != mz[:, :-1], axis=1)
         distinct = self._distinct
         for u, d in zip(rows.tolist(), counts.tolist()):
-            old = distinct[u]
-            if d != old:
-                self._index.remove((old, u))
-                self._index.add((d, u))
+            if d != distinct[u]:
                 distinct[u] = d
+                heapq.heappush(self._heap, (d, u))
 
     def remove_vertex(self, u: int) -> None:
-        self._index.remove((self._distinct.pop(u), u))
+        del self._distinct[u]
 
     def global_min(self) -> tuple[int, int]:
         """(distinct count, vertex) of the lexicographically-first minimum."""
-        return self._index[0]
+        heap, distinct = self._heap, self._distinct
+        while distinct.get(heap[0][1]) != heap[0][0]:
+            heapq.heappop(heap)
+        return heap[0]
 
 
 def _greedy_min_degree(g: StaticGraph, seed: int, k: int, cap: int | None = None):

@@ -139,10 +139,9 @@ def approx_min_degree_sequence(
     for t in range(n):
         candidates: list[Candidate] = []
         crng = rngmod.substream(seed, rngmod.CANDIDATES, t)
-        for view in ds.report(max_buckets=candidate_window):
+        for b, members in ds.report(max_buckets=candidate_window):
             candidates.extend(
-                exp_decayed_candidates(view, eps_hat, view.bucket_id, crng,
-                                       c2=CANDIDATE_C2))
+                exp_decayed_candidates(members, eps_hat, b, crng, c2=CANDIDATE_C2))
         counters["candidates_total"] += len(candidates)
 
         trim_value = {id(c): (1.0 - c.delta) * base**c.bucket for c in candidates}

@@ -81,7 +81,7 @@ def ks_critical(n: int, m: int, alpha: float = 1e-3) -> float:
 
 class OneAtATimeInverseColumnSum:
     """The slow estimator's draw distribution, one draw at a time: a
-    uniform nonzero entry maps to the reciprocal of its column's estimated
+    uniform nonzero entry maps to (1 - eps) over its column's estimated
     sum, clamped into [0, 1], each column estimated once, at its first
     draw."""
 
@@ -101,7 +101,7 @@ class OneAtATimeInverseColumnSum:
             if val is None:
                 est = approx_column_sum(self.oracle, j, self.eps, self.delta, rng,
                                         self.max_draws)
-                val = min(1.0, 1.0 / est) if est > 0 else 1.0
+                val = min(1.0, (1.0 - self.eps) / est) if est > 0 else 1.0
                 self.memo[j] = val
             out[t] = val
         return out

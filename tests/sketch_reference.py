@@ -82,7 +82,8 @@ class ReferenceEnsemble:
 class ReferenceApproxDegreeDS(ApproxDegreeDS):
     """Quantile upkeep the per-copy way: a SortedList of the k minimum
     key values per remaining vertex, updated for every copy's changed
-    rows.  Shares `report` with the array-backed structure."""
+    rows.  The changed rows go through the bucket lists of the
+    array-backed structure in ascending order, and `report` is shared."""
 
     def __init__(self, g, eps: float, seed: int, k: int | None = None):
         if not 0 < eps <= 0.5:
@@ -95,8 +96,6 @@ class ReferenceApproxDegreeDS(ApproxDegreeDS):
         self.sketches = self.ensemble.sketches
         self._vals: list[SortedList | None] = []
         self._cur = [np.empty(g.n, dtype=np.float64) for _ in range(self.k)]
-        self._q = np.empty(g.n, dtype=np.float64)
-        self._index = SortedList()
         for u in range(g.n):
             vals = SortedList()
             for i, s in enumerate(self.sketches):
@@ -104,9 +103,11 @@ class ReferenceApproxDegreeDS(ApproxDegreeDS):
                 self._cur[i][u] = v
                 vals.add(v)
             self._vals.append(vals)
-            q = vals[self.rank - 1]
-            self._q[u] = q
-            self._index.add((q, u))
+        self._q = [0.0] * g.n
+        self._bucket = [-1] * g.n
+        self._pos = [0] * g.n
+        self._members = {}
+        self._place(range(g.n), [vals[self.rank - 1] for vals in self._vals])
         self.pivots = 0
 
     def quantile(self, u: int) -> float:
@@ -117,7 +118,7 @@ class ReferenceApproxDegreeDS(ApproxDegreeDS):
     def pivot(self, u: int) -> None:
         if self._vals[u] is None:
             raise ValueError(f"vertex {u} is not remaining")
-        self._index.remove((self._q[u], u))
+        self._leave(u)
         self._vals[u] = None
         self.cgraph.pivot(u, observers=self.sketches)
         touched = set()
@@ -132,10 +133,6 @@ class ReferenceApproxDegreeDS(ApproxDegreeDS):
                 vals.add(new)
                 cur[y] = new
                 touched.add(y)
-        for y in touched:
-            q = self._vals[y][self.rank - 1]
-            if q != self._q[y]:
-                self._index.remove((self._q[y], y))
-                self._index.add((q, y))
-                self._q[y] = q
+        rows = sorted(touched)
+        self._place(rows, [self._vals[y][self.rank - 1] for y in rows])
         self.pivots += 1

@@ -31,17 +31,17 @@ def test_rejects_bad_epsilon():
 def test_single_vertex_single_bucket():
     ds = ApproxDegreeDS(from_edges(1, []), 0.25, seed=0)
     rep = ds.report()
-    assert len(rep) == 1 and list(rep[0]) == [0]
+    assert len(rep) == 1 and rep[0][1] == [0]
 
 
 def test_complete_graph_shares_one_bucket():
     ds = ApproxDegreeDS(complete_graph(20), 0.3, seed=3)
     rep = ds.report()
     assert len(rep) == 1
-    b = rep[0]
-    assert sorted(b) == list(range(20))
-    lo = (1 + ds.eps) ** (b.bucket_id - 2)
-    hi = (1 + ds.eps) ** (b.bucket_id + 2)
+    b, members = rep[0]
+    assert sorted(members) == list(range(20))
+    lo = (1 + ds.eps) ** (b - 2)
+    hi = (1 + ds.eps) ** (b + 2)
     assert lo <= 20 <= hi
 
 
@@ -90,12 +90,12 @@ def test_bucket_membership_tracks_true_degrees(rng):
         eliminated.append(v)
         rep = ds.report()
         seen = []
-        for b in rep:
-            for u in b:
+        for b, members in rep:
+            for u in members:
                 seen.append(u)
                 deg1 = fill_degree_bruteforce(g, eliminated, u) + 1
                 checked += 1
-                ok += (1 + eps) ** (b.bucket_id - 2) <= deg1 <= (1 + eps) ** (b.bucket_id + 2)
+                ok += (1 + eps) ** (b - 2) <= deg1 <= (1 + eps) ** (b + 2)
         assert sorted(seen) == sorted(set(range(30)) - set(eliminated))
     assert ok >= 0.9 * checked
 
@@ -105,6 +105,16 @@ def test_report_rejects_empty_graph_state():
     ds.pivot(0)
     with pytest.raises(ValueError):
         ds.report()
+
+
+def test_zero_copies_is_a_clear_error():
+    g = path_graph(4)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        quantile_rank(0)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        ApproxDegreeDS(g, 0.25, 0, k=0)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        static_one_degree_quantiles(g, 0.25, 0, k=0)
 
 
 def test_quantile_accuracy_k41():

@@ -279,8 +279,8 @@ def test_estimate_buckets_pinned_to_reference(capsys, tmp_path):
         "seed": 4,
         "sketches": 40,
         "buckets": [
-            {"bucket": b.bucket_id, "vertices": list(b),
-             "range": [1.25 ** -(b.bucket_id + 1), 1.25 ** -b.bucket_id]}
-            for b in ref.report()
+            {"bucket": b, "vertices": sorted(members),
+             "range": [1.25 ** -(b + 1), 1.25 ** -b]}
+            for b, members in ref.report()
         ],
     }

@@ -109,6 +109,17 @@ def test_slow_estimator_identity():
     assert hits >= 58
 
 
+def test_slow_estimator_identity_straddles_true_count():
+    # the draw min(1, (1 - eps) / c_hat) clamps only when c_hat misses its
+    # (1 +/- eps) bound, so estimates on the identity fall on both sides of
+    # 50; a clamp at 1 / c_hat cut the upper half of the noise, and every
+    # one of these trials fell below 50
+    a = np.eye(50, dtype=bool)
+    ests = [estimate_nonzero_columns_slow(DenseOracle(a), 0.2, np.random.default_rng([45, t]))
+            for t in range(20)]
+    assert min(ests) < 50 < max(ests)
+
+
 def test_slow_estimator_single_row():
     a = np.ones((1, 8), dtype=bool)
     for t in range(10):
@@ -170,6 +181,28 @@ def test_fill_degree_estimate_figure_vertices():
     cg = fig_component_graph()
     est = estimate_fill_1degree(cg, 2, 0.25, np.random.default_rng(12))
     assert 0.75 * 2 <= est <= 1.25 * 2
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.5])
+def test_estimators_reject_nonpositive_epsilon(eps):
+    o = DenseOracle(np.eye(4, dtype=bool))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="eps"):
+        estimate_fill_1degree(fig_component_graph(), 1, eps, rng)
+    with pytest.raises(ValueError, match="eps"):
+        estimate_nonzero_columns(o, eps, rng)
+    with pytest.raises(ValueError, match="eps"):
+        estimate_nonzero_columns_slow(o, eps, rng)
+    with pytest.raises(ValueError, match="eps"):
+        approx_column_sum(o, 0, eps, 0.01, rng)
+
+
+@pytest.mark.parametrize("eps", [1.0, 1.5])
+def test_slow_estimator_rejects_epsilon_of_one_or_more(eps):
+    # (1 - eps) / c_hat would be at most 0: the stopping rule never triggers
+    with pytest.raises(ValueError, match="eps"):
+        estimate_nonzero_columns_slow(DenseOracle(np.eye(4, dtype=bool)), eps,
+                                      np.random.default_rng(0))
 
 
 def test_fill_degree_estimate_rejects_eliminated():

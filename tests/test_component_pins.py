@@ -120,17 +120,17 @@ PINNED_ESTIMATES = {
 
 PINNED_APPROX = {
     ("gnp60", 7):
-        ((21, 59, 18, 26, 1, 44, 28, 36, 47, 37, 57, 17, 43, 48, 42, 34, 7, 12, 30, 35,
-          6, 45, 11, 51, 46, 15, 33, 41, 20, 9, 25, 38, 10, 31, 50, 29, 58, 22, 54, 52,
-          4, 55, 0, 56, 8, 49, 39, 19, 23, 2, 13, 32, 53, 27, 3, 14, 5, 24, 16, 40),
+        ((21, 59, 18, 26, 1, 44, 28, 36, 47, 37, 57, 17, 43, 48, 42, 34, 7, 35, 30, 12,
+          6, 45, 11, 51, 2, 54, 8, 5, 27, 9, 29, 4, 49, 50, 33, 16, 58, 23, 53, 46, 13,
+          52, 0, 56, 15, 41, 39, 24, 25, 3, 19, 38, 55, 32, 10, 20, 14, 31, 22, 40),
          (0, 2, 3, 4, 4, 3, 4, 4, 4, 5, 4, 4, 5, 5, 6, 5, 6, 6, 6, 6, 6, 6, 7, 7, 10,
-          10, 12, 12, 12, 11, 13, 14, 15, 20, 22, 21, 23, 22, 21, 20, 19, 18, 17, 16,
+          13, 11, 12, 13, 11, 17, 17, 20, 20, 23, 22, 23, 22, 21, 20, 19, 18, 17, 16,
           15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
          "approx", 7,
-         (("candidates_total", 1345), ("estimator_calls", 0), ("exact_evals", 222),
-          ("k", 96), ("label_evals", 0), ("sketch_changed_total", 7730),
-          ("sketch_informs", 53760), ("sketch_melds", 5568), ("sketch_pivots", 5760),
-          ("sketch_updates", 87927), ("survivors_total", 222))),
+         (("candidates_total", 1358), ("estimator_calls", 0), ("exact_evals", 234),
+          ("k", 96), ("label_evals", 0), ("sketch_changed_total", 7748),
+          ("sketch_informs", 55392), ("sketch_melds", 5568), ("sketch_pivots", 5760),
+          ("sketch_updates", 89401), ("survivors_total", 234))),
 }
 
 

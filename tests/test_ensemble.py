@@ -2,6 +2,7 @@
 DynamicSketch structures (tests/sketch_reference.py) and against explicit
 fill graphs, after every pivot."""
 
+import bisect
 import itertools
 
 import numpy as np
@@ -143,18 +144,42 @@ def test_copies_added_mid_run_match_replayed_reference():
         _drive(g, rng.permutation(25), seed=trial, k=2, grow={3: 3, 11: 6, 20: 1})
 
 
+def _scratch_bucket(q: float, eps: float) -> int:
+    """Smallest i >= 0 with (1+eps)^-(i+1) <= q, by bisection over i."""
+    hi = 1
+    while (1 + eps) ** -hi > q:
+        hi *= 2
+    return bisect.bisect_left(range(hi), True, key=lambda i: (1 + eps) ** -(i + 1) <= q)
+
+
+def _sorted_buckets(report):
+    return [(b, sorted(members)) for b, members in report]
+
+
 def test_quantiles_and_buckets_match_reference():
+    # bucket ids and membership match the per-copy reference and the
+    # from-scratch partition; member order within a bucket is not compared
     rng = np.random.default_rng(13)
-    for trial, (n, p, k) in enumerate([(30, 0.15, 40), (50, 0.08, 96), (20, 0.4, 7)]):
+    cases = [(30, 0.15, 40, 0.25), (50, 0.08, 96, 0.25), (20, 0.4, 7, 0.25),
+             (30, 0.15, 24, 0.5), (30, 0.15, 24, 0.1), (30, 0.15, 24, 1 / 64),
+             (25, 0.2, 12, 1e-3), (25, 0.2, 12, 2e-4)]
+    for trial, (n, p, k, eps) in enumerate(cases):
         g = gnp(n, p, rng)
-        ds = ApproxDegreeDS(g, 0.25, seed=trial, k=k)
-        ref = ReferenceApproxDegreeDS(g, 0.25, seed=trial, k=k)
+        ds = ApproxDegreeDS(g, eps, seed=trial, k=k)
+        ref = ReferenceApproxDegreeDS(g, eps, seed=trial, k=k)
         remaining = set(range(n))
         for v in rng.permutation(n):
             assert {u: ds.quantile(u) for u in remaining} == \
                 {u: ref.quantile(u) for u in remaining}
-            assert [(b.bucket_id, list(b)) for b in ds.report()] == \
-                [(b.bucket_id, list(b)) for b in ref.report()]
+            full = _sorted_buckets(ds.report())
+            assert full == _sorted_buckets(ref.report())
+            scratch: dict[int, list[int]] = {}
+            for u in sorted(remaining):
+                scratch.setdefault(_scratch_bucket(ds.quantile(u), eps), []).append(u)
+            assert full == sorted(scratch.items())
+            for cap in (1, 2, 5):
+                assert _sorted_buckets(ds.report(max_buckets=cap)) == full[:cap] == \
+                    _sorted_buckets(ref.report(max_buckets=cap))
             ds.pivot(int(v))
             ref.pivot(int(v))
             remaining.discard(int(v))

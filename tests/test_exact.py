@@ -6,6 +6,7 @@ from fillorder import rng as rngmod
 from fillorder.bruteforce import exact_mindeg_bruteforce, greedy_degree_trace
 from fillorder.component import ComponentGraph
 from fillorder.exact import (
+    MinimizerTable,
     SketchEnsemble,
     delta_capped_min_degree,
     output_sensitive_min_degree,
@@ -19,6 +20,37 @@ from fillorder.graph import (
     path_graph,
 )
 from fillorder.sketch import DynamicSketch
+
+
+def test_minimizer_table_heap_tracks_lexicographic_minimum():
+    # random pivots (not only the minimum), copy additions and no-op
+    # recounts; stale heap entries must never surface
+    rng = np.random.default_rng(21)
+    for trial in range(12):
+        n = int(rng.integers(2, 30))
+        g = gnp(n, float(rng.uniform(0.05, 0.5)), rng)
+        ens = SketchEnsemble(g, trial, int(rng.integers(1, 6)))
+        table = MinimizerTable(ens, range(n))
+        remaining = list(range(n))
+        while remaining:
+            action = rng.integers(4)
+            if action == 0:
+                ens.add_copies(int(rng.integers(1, 4)))
+                table.add_sketches()
+            elif action == 1:
+                rows = rng.choice(remaining, size=int(rng.integers(1, len(remaining) + 1)),
+                                  replace=False)
+                table.apply_changes(np.sort(rows))
+            else:
+                v = remaining.pop(int(rng.integers(len(remaining))))
+                table.remove_vertex(v)
+                table.apply_changes(ens.pivot(v))
+            if not remaining:
+                break
+            distinct = {u: len(set(row)) for u, row in
+                        zip(remaining, ens.minimizers(remaining).tolist())}
+            assert table._distinct == distinct
+            assert table.global_min() == min((d, u) for u, d in table._distinct.items())
 
 
 def test_delta_capped_cycle4_matches_bruteforce():

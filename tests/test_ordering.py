@@ -219,10 +219,9 @@ def test_trim_keeps_exact_degree_minimizer(rng):
     for t in range(g.n - 1):
         rep = ds.report()
         candidates = []
-        for view in rep:
-            crng = rngmod.substream(seed, rngmod.CANDIDATES, t, view.bucket_id)
-            candidates.extend(exp_decayed_candidates(view, eps_hat, view.bucket_id,
-                                                     crng, c2=8.0))
+        for b, members in rep:
+            crng = rngmod.substream(seed, rngmod.CANDIDATES, t, b)
+            candidates.extend(exp_decayed_candidates(members, eps_hat, b, crng, c2=8.0))
         trim_value = {id(c): (1 - c.delta) * base**c.bucket for c in candidates}
         threshold = base**7 * min(trim_value.values())
         survivors = [c for c in candidates
