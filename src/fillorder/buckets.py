@@ -1,9 +1,15 @@
-"""Approximate fill 1-degrees from minimizer-key quantiles.
+"""Approximate fill 1-degrees from minimizer keys.
 
 Maintains k sketch copies over one shared component graph, as one
-array-backed `SketchEnsemble`.  For each remaining vertex the
-floor(k(1-1/e))-ranked minimizer key value Q(u) concentrates near
-1/(deg+1), so vertices are bucketed by powers of (1+eps) of 1/Q.  Each
+array-backed `SketchEnsemble`.  For each remaining vertex u the mean of
+minima of Cohen 1997 (*Size-estimation framework with applications to
+transitive closure and reachability*),
+
+    Q(u) = sum over the k copies of -ln(1 - min key value) / k,
+
+has expectation exactly 1/(deg+1): the minimum of deg+1 uniform keys
+makes each term an exponential of rate deg+1.  Vertices are bucketed by
+powers of (1+eps) of 1/Q.  Each
 nonempty bucket keeps a plain list of its members, the degree lists of
 AMD (Amestoy, Davis & Duff 1996): a vertex is appended on entry and
 swap-removed on exit, so a move costs O(1) and a uniform member pick is
@@ -11,6 +17,9 @@ a list index.  A pivot recomputes Q only for the vertices whose minimum
 changed in some copy, reading their k minimum keys through the
 ensemble's rank -> draw table, and moves a vertex only when its bucket
 changes.
+
+`static_one_degree_quantiles` keeps the floor(k(1-1/e))-ranked minimum
+key value, whose reciprocal also concentrates near deg+1.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from .graph import StaticGraph
 from .sketch import SketchEnsemble
 
 QUANTILE_FRACTION = 1.0 - 1.0 / math.e
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 # copies drawn per batch by `static_one_degree_quantiles`; the draw order
 # follows it, so changing it changes seeded quantiles
 _QUANTILE_BLOCK = 2048
@@ -32,6 +42,13 @@ _QUANTILE_BLOCK = 2048
 def sketch_count(n: int, eps: float) -> int:
     """Copy count 50*ceil(log2(n) * eps^-2)."""
     return 50 * math.ceil(max(1.0, math.log2(max(n, 2))) * eps**-2)
+
+
+def mean_of_minima(vals: np.ndarray) -> np.ndarray:
+    """Q of each row of a (rows, k) array of minimum key values.  A key
+    within 2^10 of 2^64 rounds to the value 1.0; it is read as the
+    largest float below 1, so that Q stays finite."""
+    return -np.log1p(-np.minimum(vals, _BELOW_ONE)).sum(axis=1) / vals.shape[1]
 
 
 def quantile_rank(k: int) -> int:
@@ -49,14 +66,18 @@ class ApproxDegreeDS:
             raise ValueError("empty graph")
         self.eps = eps
         self.k = k if k is not None else sketch_count(g.n, eps)
-        self.rank = quantile_rank(self.k)
+        if self.k < 1:
+            raise ValueError("k must be at least 1")
         self.ensemble = SketchEnsemble(g, rngmod.normalize_seed(seed), self.k)
         self.cgraph = self.ensemble.cgraph
         self._q: list[float] = [0.0] * g.n
         self._bucket = [-1] * g.n
         self._pos = [0] * g.n
         self._members: dict[int, list[int]] = {}
-        self._place(range(g.n), self.ensemble.quantiles(np.arange(g.n), self.rank).tolist())
+        self._place(range(g.n), self._estimates(np.arange(g.n)))
+
+    def _estimates(self, rows) -> list[float]:
+        return mean_of_minima(self.ensemble.min_key_floats(rows)).tolist()
 
     def _leave(self, u: int) -> None:
         """Swap-remove u from its bucket's member list."""
@@ -71,7 +92,7 @@ class ApproxDegreeDS:
         self._bucket[u] = -1
 
     def _place(self, rows, qs) -> None:
-        """Set the quantiles of `rows`, taken in the given order, to `qs`.
+        """Set Q of `rows`, taken in the given order, to `qs`.
         A row whose bucket id changes leaves its old member list and is
         appended to its new one."""
         base = 1.0 + self.eps
@@ -94,7 +115,8 @@ class ApproxDegreeDS:
 
     # ---------------- queries ----------------
 
-    def quantile(self, u: int) -> float:
+    def estimate(self, u: int) -> float:
+        """Q(u), the mean of minima, about 1/(fill degree + 1)."""
         if not self.cgraph.is_remaining(u):
             raise ValueError(f"vertex {u} is not remaining")
         return self._q[u]
@@ -107,16 +129,16 @@ class ApproxDegreeDS:
         self._leave(u)
         rows = self.ensemble.pivot(u)
         if len(rows):
-            self._place(rows.tolist(), self.ensemble.quantiles(rows, self.rank).tolist())
+            self._place(rows.tolist(), self._estimates(rows))
 
     # ---------------- reporting ----------------
 
     def report(self, max_buckets: int | None = None) -> list[tuple[int, list[int]]]:
         """(bucket id, member list) of the nonempty buckets, ascending id
         (low degree first), at most `max_buckets` of them.  Bucket i holds
-        the remaining vertices whose quantile Q has (1+eps)^-(i+1) <= Q,
-        for the smallest such i >= 0.  Members are in the order their moves
-        left them, not by id or quantile; the lists stay valid until the
+        the remaining vertices whose Q has (1+eps)^-(i+1) <= Q, for the
+        smallest such i >= 0.  Members are in the order their moves left
+        them, not by id or Q; the lists stay valid until the
         next pivot and must not be modified."""
         if not self._members:
             raise ValueError("no remaining vertices")
@@ -125,12 +147,11 @@ class ApproxDegreeDS:
 
 def static_one_degree_quantiles(g: StaticGraph, eps: float, seed: int,
                                 k: int | None = None) -> np.ndarray:
-    """Q(u) for every vertex of the un-eliminated graph, computed with
-    vectorized key draws instead of materializing sketch structures.
-
-    Statistically identical to building ApproxDegreeDS on a fresh graph
-    and reading the quantiles; usable at the large copy counts the
-    quantile guarantee asks for."""
+    """The quantile_rank(k)-th smallest of the k minimum key values of
+    every vertex of the un-eliminated graph, about 1/(deg+1), computed
+    with vectorized key draws instead of materializing sketch structures;
+    usable at the large copy counts the quantile guarantee asks for.
+    `ApproxDegreeDS` buckets by the mean of minima instead."""
     if not 0 < eps <= 0.5:
         raise ValueError("eps must be in (0, 1/2]")
     n = g.n

@@ -1,13 +1,22 @@
 """Nearly-linear approximate greedy minimum-degree ordering.
 
 Each step asks the bucketing structure for vertices grouped by
-approximate 1-degree, draws a small decayed candidate set per bucket via
-top order statistics of exponential variables, trims candidates whose
-perturbed bucket value cannot win, evaluates each survivor's exact fill
-1-degree, and pivots the minimizer of (1 - delta) * fill 1-degree.  The
-decay decorrelates the pivot choice from the sketch internals; the
-evaluation is exact and deterministic, so it is independent of the
-sketch randomness.
+approximate 1-degree and gives distinct uniform members of each bucket
+decay factors eps_hat * X, X running down the top order statistics of
+exponential variables.  A candidate of bucket b has trim value
+(1 - delta) * (1+eps_hat)^b; those beyond (1+eps_hat)^TRIM_EXPONENT
+times the smallest are trimmed, except in bucket 0.  Each survivor's
+exact fill 1-degree is evaluated, and the minimizer of
+(1 - delta) * fill 1-degree is pivoted.  The decay decorrelates the pivot
+choice from the sketch internals; the evaluation is exact and
+deterministic, so it is independent of the sketch randomness.
+
+Only survivors are drawn (`trimmed_candidates`): a bucket's smallest trim
+value is its top order statistic's, so every bucket's top is drawn first
+and fixes the threshold, and a bucket's sequence is extended, and its
+members picked, only while it survives.  The survivors have the law of
+drawing every bucket's whole window with `exp_decayed_candidates` and
+trimming afterwards; tests/test_candidate_law.py compares the two.
 
 The sketch copy count and the candidate window are computed from the
 graph and eps; the candidate, trim and survivor limits are the module
@@ -19,6 +28,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import rng as rngmod
 from .buckets import ApproxDegreeDS, sketch_count
@@ -69,7 +80,10 @@ def exp_decayed_candidates(members, eps_hat: float, label: int, rng,
     """Assign decay factors eps_hat * X to distinct uniformly random
     members, where X runs over the sampled top order statistics.
 
-    `members` needs only len() and integer indexing."""
+    `members` needs only len() and integer indexing.
+    `approx_min_degree_sequence` draws through `trimmed_candidates`
+    instead; this whole-window form is the law that sampler keeps, and
+    perfbench/layers.py still wraps it."""
     s = len(members)
     if s == 0:
         return []
@@ -82,6 +96,74 @@ def exp_decayed_candidates(members, eps_hat: float, label: int, rng,
         swap[j] = swap.get(i, i)
         out.append(Candidate(delta=eps_hat * x, vertex=members[pick], bucket=label))
     return out
+
+
+def trimmed_candidates(report, eps_hat: float, rng) -> tuple[list[tuple[float, int, float]], int]:
+    """One step's trim survivors as (trim value, vertex, delta) triples,
+    at most SURVIVOR_CAP of them, and the number of (delta, member) pairs
+    drawn.
+
+    The law is that of `exp_decayed_candidates` with c2 = CANDIDATE_C2 on
+    every reported (bucket, members) pair, followed by the trim: a
+    candidate of bucket b with decay delta has trim value
+    (1 - delta) * (1+eps_hat)^b and survives if b = 0 or its value is at
+    most (1+eps_hat)^TRIM_EXPONENT times the smallest one, and the
+    SURVIVOR_CAP smallest (trim value, vertex) pairs are kept.  A trim
+    value falls as the decay rises, so the smallest one of a bucket is its
+    top order statistic's, and a bucket's survivors are a prefix of its
+    decreasing sequence.  So every bucket's top is drawn first, one
+    uniform each, which fixes the threshold; then each bucket's sequence
+    is extended only while it survives, and members are picked (distinct,
+    uniform, by a partial Fisher-Yates shuffle) only for those draws."""
+    base = 1.0 + eps_hat
+    sizes = [len(members) for _, members in report]
+    u = rng.random(len(sizes))
+    zero = u == 0.0
+    while zero.any():
+        u[zero] = rng.random(int(zero.sum()))
+        zero = u == 0.0
+    # top order statistic of s unit exponentials, by the inverse CDF (1 - e^-x)^s
+    tops = (-np.log(-np.expm1(np.log(u) / sizes))).tolist()
+    powers = [base**b for b, _ in report]
+    top_trims = [(1.0 - eps_hat * x) * p for x, p in zip(tops, powers)]
+    threshold = base**TRIM_EXPONENT * min(top_trims)
+
+    # (trim value, delta, draw index i, members) per draw, each bucket's
+    # draws together; draw i of a bucket of s members is swapped with a
+    # uniform position in [i, s)
+    drawn: list[tuple[float, float, int, list[int]]] = []
+    sizes_drawn: list[int] = []
+    for (b, members), s, x, p, trim in zip(report, sizes, tops, powers, top_trims):
+        if b and trim > threshold:
+            continue
+        drawn.append((trim, eps_hat * x, 0, members))
+        cutoff = x - CANDIDATE_C2
+        i = 1
+        while i < s:
+            x -= rng.standard_exponential() / i
+            if x < cutoff:
+                break
+            delta = eps_hat * x
+            trim = (1.0 - delta) * p
+            if b and trim > threshold:
+                break
+            drawn.append((trim, delta, i, members))
+            i += 1
+        sizes_drawn.extend([s] * i)
+    picks = rng.integers([d[2] for d in drawn], sizes_drawn).tolist()
+
+    out: list[tuple[float, int, float]] = []
+    for (trim, delta, i, members), j in zip(drawn, picks):
+        if i == 0:
+            swap: dict[int, int] = {}
+        pick = swap.get(j, j)
+        swap[j] = swap.get(i, i)
+        out.append((trim, members[pick], delta))
+    drawn_total = len(out)
+    if drawn_total > SURVIVOR_CAP:
+        out.sort()
+        del out[SURVIVOR_CAP:]
+    return out, drawn_total
 
 
 def decay_scale(eps: float, n: int) -> float:
@@ -137,30 +219,19 @@ def approx_min_degree_sequence(
     }
 
     for t in range(n):
-        candidates: list[Candidate] = []
         crng = rngmod.substream(seed, rngmod.CANDIDATES, t)
-        for b, members in ds.report(max_buckets=candidate_window):
-            candidates.extend(
-                exp_decayed_candidates(members, eps_hat, b, crng, c2=CANDIDATE_C2))
-        counters["candidates_total"] += len(candidates)
-
-        trim_value = {id(c): (1.0 - c.delta) * base**c.bucket for c in candidates}
-        threshold = base**TRIM_EXPONENT * min(trim_value.values())
-        survivors = [c for c in candidates
-                     if c.bucket == 0 or trim_value[id(c)] <= threshold]
-        if len(survivors) > SURVIVOR_CAP:
-            survivors.sort(key=lambda c: (trim_value[id(c)], c.vertex))
-            survivors = survivors[:SURVIVOR_CAP]
+        survivors, drawn = trimmed_candidates(
+            ds.report(max_buckets=candidate_window), eps_hat, crng)
+        counters["candidates_total"] += drawn
         counters["survivors_total"] += len(survivors)
+        counters["exact_evals"] += len(survivors)
 
         best = None
-        for c in survivors:
-            v = c.vertex
+        for _, v, delta in survivors:
             d = cg.fill_degree_exact(v)
-            key = ((1.0 - c.delta) * (d + 1), v)
+            key = ((1.0 - delta) * (d + 1), v)
             if best is None or key < best[0]:
                 best = (key, d)
-        counters["exact_evals"] += len(survivors)
 
         (_, u), d_u = best
         order.append(u)

@@ -13,8 +13,8 @@ shared component graph:
                every remaining vertex u
   comp[x, i]   minimum key rank over Nrem(x), for every live component x
 
-plus two rank tables, rank -> draw (as a float in (0, 1)) for quantiles
-and rank -> vertex id for minimizers.  Pivoting v changes the fill
+plus two rank tables, rank -> draw (as a float in (0, 1]) for degree
+estimates and rank -> vertex id for minimizers.  Pivoting v changes the fill
 neighborhood only of the vertices in Nrem(c), c the merged component:
 each gains Nrem(c) and loses v.  So comp[c] is the minimum of key over
 Nrem(c) and each such row becomes min(fill row, comp[c]), except in a
@@ -422,17 +422,13 @@ class SketchEnsemble:
         return table.ravel().take(at)
 
     def min_key_floats(self, rows) -> np.ndarray:
-        """(len(rows), k) minimum key values, as floats in (0, 1)."""
+        """(len(rows), k) minimum key values, as floats in (0, 1]; a key
+        within 2^10 of 2^64 rounds to 1.0."""
         return self._by_rank(self._draw, rows)
 
     def minimizers(self, rows) -> np.ndarray:
         """(len(rows), k) ids of the vertices holding the minimum keys."""
         return self._by_rank(self._vertex, rows)
-
-    def quantiles(self, rows, rank: int) -> np.ndarray:
-        """The rank-th smallest (1-based) minimum key value of each row."""
-        vals = self.min_key_floats(rows)
-        return np.partition(vals, rank - 1, axis=1)[:, rank - 1]
 
     def sketch_counters(self) -> dict[str, int]:
         """Work counters summed over copies: `melds`, `pivots` and

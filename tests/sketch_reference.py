@@ -4,16 +4,16 @@ These are the structures the ensemble replaced, kept here verbatim in
 behaviour so differential tests can compare against them: k
 `DynamicSketch` copies driven as observers of a component graph, later
 batches replayed through the pivot history on a private graph, and
-quantiles kept as a per-vertex sorted list of the k minimum key values.
+each vertex's k minimum key values kept per copy, read back for every
+row that changed in some copy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from sortedcontainers import SortedList
 
 from fillorder import rng as rngmod
-from fillorder.buckets import ApproxDegreeDS, quantile_rank, sketch_count
+from fillorder.buckets import ApproxDegreeDS, mean_of_minima, sketch_count
 from fillorder.component import ComponentGraph
 from fillorder.sketch import DynamicSketch
 
@@ -80,59 +80,47 @@ class ReferenceEnsemble:
 
 
 class ReferenceApproxDegreeDS(ApproxDegreeDS):
-    """Quantile upkeep the per-copy way: a SortedList of the k minimum
-    key values per remaining vertex, updated for every copy's changed
-    rows.  The changed rows go through the bucket lists of the
-    array-backed structure in ascending order, and `report` is shared."""
+    """Estimate upkeep the per-copy way: each copy's minimum key value
+    per vertex, updated from that copy's changed rows.  Q of every row
+    changed in some copy is recomputed from its values in copy order; the
+    rows go through the bucket lists of the array-backed structure in
+    ascending order, and `report` is shared."""
 
     def __init__(self, g, eps: float, seed: int, k: int | None = None):
         if not 0 < eps <= 0.5:
             raise ValueError("eps must be in (0, 1/2]")
         self.eps = eps
         self.k = k if k is not None else sketch_count(g.n, eps)
-        self.rank = quantile_rank(self.k)
         self.ensemble = ReferenceEnsemble(g, rngmod.normalize_seed(seed), self.k)
         self.cgraph = self.ensemble.groups[0][0]
         self.sketches = self.ensemble.sketches
-        self._vals: list[SortedList | None] = []
-        self._cur = [np.empty(g.n, dtype=np.float64) for _ in range(self.k)]
-        for u in range(g.n):
-            vals = SortedList()
-            for i, s in enumerate(self.sketches):
-                v = s.min_key_float(u)
-                self._cur[i][u] = v
-                vals.add(v)
-            self._vals.append(vals)
+        self._remaining = set(range(g.n))
+        self._cur = np.array([[s.min_key_float(u) for s in self.sketches]
+                              for u in range(g.n)], dtype=np.float64).reshape(g.n, self.k)
         self._q = [0.0] * g.n
         self._bucket = [-1] * g.n
         self._pos = [0] * g.n
         self._members = {}
-        self._place(range(g.n), [vals[self.rank - 1] for vals in self._vals])
+        self._place(range(g.n), mean_of_minima(self._cur).tolist())
         self.pivots = 0
 
-    def quantile(self, u: int) -> float:
-        if self._vals[u] is None:
+    def estimate(self, u: int) -> float:
+        if u not in self._remaining:
             raise ValueError(f"vertex {u} is not remaining")
         return float(self._q[u])
 
     def pivot(self, u: int) -> None:
-        if self._vals[u] is None:
+        if u not in self._remaining:
             raise ValueError(f"vertex {u} is not remaining")
         self._leave(u)
-        self._vals[u] = None
+        self._remaining.discard(u)
         self.cgraph.pivot(u, observers=self.sketches)
         touched = set()
         for i, s in enumerate(self.sketches):
-            cur = self._cur[i]
             for y in s.finish_pivot():
-                vals = self._vals[y]
-                if vals is None:
-                    continue
-                new = s.min_key_float(y)
-                vals.remove(cur[y])
-                vals.add(new)
-                cur[y] = new
-                touched.add(y)
+                if y in self._remaining:
+                    self._cur[y, i] = s.min_key_float(y)
+                    touched.add(y)
         rows = sorted(touched)
-        self._place(rows, [self._vals[y][self.rank - 1] for y in rows])
+        self._place(rows, mean_of_minima(self._cur[rows]).tolist())
         self.pivots += 1

@@ -361,7 +361,9 @@ def test_criterion_14_scaling_smoke():
         # is an exact fill degree, so the fill is their sum minus m
         fill = total_fill(g, r.order)
         assert fill == sum(r.reported_degree) - g.m, (g.m, fill)
-        evals[g.m] = f"exact {r.counters['exact_evals']}, fill {fill}"
+        c = r.counters
+        evals[g.m] = (f"candidates {c['candidates_total']}, survivors {c['survivors_total']}, "
+                      f"exact {c['exact_evals']}, fill {fill}")
     (m1, t1), (m2, t2) = sorted(times.items())
     record(14, "scaling smoke",
            t1 < 300 and t2 < 300 and t2 / t1 <= 3,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import gnp
+from fillorder import rng as rngmod
 from fillorder.bruteforce import fill_degree_bruteforce
 from fillorder.buckets import (
     ApproxDegreeDS,
@@ -64,9 +65,9 @@ def test_star_center_and_leaf_buckets_static():
 def test_pivot_isolated_vertex_changes_no_quantiles():
     g = from_edges(4, [(0, 1)])
     ds = ApproxDegreeDS(g, 0.25, seed=1, k=400)
-    before = {u: ds.quantile(u) for u in (0, 1, 2)}
+    before = {u: ds.estimate(u) for u in (0, 1, 2)}
     ds.pivot(3)
-    assert {u: ds.quantile(u) for u in (0, 1, 2)} == before
+    assert {u: ds.estimate(u) for u in (0, 1, 2)} == before
 
 
 def test_pivot_star_center_leaves_see_full_clique():
@@ -74,7 +75,7 @@ def test_pivot_star_center_leaves_see_full_clique():
     ds = ApproxDegreeDS(g, 0.25, seed=2, k=3000)
     ds.pivot(0)
     for leaf in range(1, 9):
-        est = 1.0 / ds.quantile(leaf)
+        est = 1.0 / ds.estimate(leaf)
         assert abs(est - 8) / 8 < 0.45, (leaf, est)
 
 
@@ -117,6 +118,17 @@ def test_zero_copies_is_a_clear_error():
         static_one_degree_quantiles(g, 0.25, 0, k=0)
 
 
+def test_largest_keys_give_finite_estimates(monkeypatch):
+    # every key is 2^64 - 1, whose float value rounds to 1.0
+    monkeypatch.setattr(rngmod, "sketch_key_draws",
+                        lambda seed, first, count, n: np.full((count, n), 2**64 - 1,
+                                                              dtype=np.uint64))
+    ds = ApproxDegreeDS(from_edges(3, [(0, 1)]), 0.25, seed=0, k=4)
+    assert all(math.isfinite(ds.estimate(u)) for u in range(3))
+    ds.pivot(0)
+    assert [b for b, _ in ds.report()] == [0]
+
+
 def test_quantile_accuracy_k41():
     # vertices with deg+1 = 41 > 2/eps: Q in (1 +/- eps)/41
     g = complete_graph(41)
@@ -139,7 +151,9 @@ def test_single_vertex_quantile_concentrates_at_quantile_fraction():
 def test_dynamic_matches_formula_k():
     ds = ApproxDegreeDS(path_graph(5), 0.5, seed=0)
     assert ds.k == sketch_count(5, 0.5) == 50 * math.ceil(math.log2(5) * 4)
-    assert ds.rank == quantile_rank(ds.k)
+    # Q is the mean of -ln(1 - q) over each row's k minimum key values
+    vals = ds.ensemble.min_key_floats(range(5))
+    assert [ds.estimate(u) for u in range(5)] == list(np.mean(-np.log1p(-vals), axis=1))
 
 
 def test_update_cost_proxy(rng):

@@ -120,17 +120,17 @@ PINNED_ESTIMATES = {
 
 PINNED_APPROX = {
     ("gnp60", 7):
-        ((21, 59, 18, 26, 1, 44, 28, 36, 47, 37, 57, 17, 43, 48, 42, 34, 7, 35, 30, 12,
-          6, 45, 11, 51, 2, 54, 8, 5, 27, 9, 29, 4, 49, 50, 33, 16, 58, 23, 53, 46, 13,
-          52, 0, 56, 15, 41, 39, 24, 25, 3, 19, 38, 55, 32, 10, 20, 14, 31, 22, 40),
-         (0, 2, 3, 4, 4, 3, 4, 4, 4, 5, 4, 4, 5, 5, 6, 5, 6, 6, 6, 6, 6, 6, 7, 7, 10,
-          13, 11, 12, 13, 11, 17, 17, 20, 20, 23, 22, 23, 22, 21, 20, 19, 18, 17, 16,
+        ((21, 59, 18, 1, 44, 26, 17, 47, 28, 36, 48, 57, 37, 33, 43, 2, 3, 12, 45, 6,
+          7, 51, 8, 50, 54, 30, 11, 29, 20, 13, 31, 38, 52, 42, 10, 19, 58, 25, 53, 46,
+          9, 55, 0, 56, 15, 41, 39, 24, 27, 4, 16, 35, 49, 34, 5, 22, 14, 32, 23, 40),
+         (0, 2, 3, 4, 3, 4, 4, 4, 4, 4, 5, 4, 5, 5, 5, 6, 6, 6, 6, 6, 6, 7, 8, 8, 10,
+          10, 12, 13, 13, 15, 17, 19, 20, 23, 24, 24, 23, 22, 21, 20, 19, 18, 17, 16,
           15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
          "approx", 7,
-         (("candidates_total", 1358), ("estimator_calls", 0), ("exact_evals", 234),
-          ("k", 96), ("label_evals", 0), ("sketch_changed_total", 7748),
-          ("sketch_informs", 55392), ("sketch_melds", 5568), ("sketch_pivots", 5760),
-          ("sketch_updates", 89401), ("survivors_total", 234))),
+         (("candidates_total", 239), ("estimator_calls", 0), ("exact_evals", 238),
+          ("k", 96), ("label_evals", 0), ("sketch_changed_total", 8216),
+          ("sketch_informs", 56736), ("sketch_melds", 5568), ("sketch_pivots", 5760),
+          ("sketch_updates", 92943), ("survivors_total", 238))),
 }
 
 

@@ -169,13 +169,13 @@ def test_quantiles_and_buckets_match_reference():
         ref = ReferenceApproxDegreeDS(g, eps, seed=trial, k=k)
         remaining = set(range(n))
         for v in rng.permutation(n):
-            assert {u: ds.quantile(u) for u in remaining} == \
-                {u: ref.quantile(u) for u in remaining}
+            assert {u: ds.estimate(u) for u in remaining} == \
+                {u: ref.estimate(u) for u in remaining}
             full = _sorted_buckets(ds.report())
             assert full == _sorted_buckets(ref.report())
             scratch: dict[int, list[int]] = {}
             for u in sorted(remaining):
-                scratch.setdefault(_scratch_bucket(ds.quantile(u), eps), []).append(u)
+                scratch.setdefault(_scratch_bucket(ds.estimate(u), eps), []).append(u)
             assert full == sorted(scratch.items())
             for cap in (1, 2, 5):
                 assert _sorted_buckets(ds.report(max_buckets=cap)) == full[:cap] == \
