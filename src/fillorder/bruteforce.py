@@ -1,12 +1,15 @@
-"""Reference oracles for fill structure, recomputed from scratch.
+"""Reference oracles for fill structure.
 
 These are deliberately simple (BFS and explicit set unions) so they can
 serve as independent ground truth for the sketching data structures.
-`total_fill` is the exception: it is no longer a set replay of the fill
-but counts the fill from the elimination tree's column counts, in
-O(m log n) time and O(n + m) memory, so that it also runs at scale.  Like
-the others, it uses only the graph and the order, never the component
-graph or the sketches.
+`fill_degree_bruteforce` and `fill_graph_bruteforce` recompute from
+scratch for any eliminated set.  The two ordering oracles,
+`exact_mindeg_bruteforce` and `greedy_degree_trace`, share one
+incremental elimination on explicit fill sets, so neither rebuilds the
+fill graph at a step.  `total_fill` is not a set replay of the fill but
+counts it from the elimination tree's column counts, in O(m log n) time
+and O(n + m) memory, so that it also runs at scale.  All of them use only
+the graph and the order, never the component graph or the sketches.
 """
 
 from __future__ import annotations
@@ -93,19 +96,41 @@ def fill_graph_bruteforce(g: StaticGraph, eliminated: Iterable[int]) -> dict[int
     return out
 
 
+def _eliminate(g: StaticGraph, order: list[int] | None = None) -> tuple[list[int], list[int], list[int]]:
+    """Eliminate every vertex of g on explicit fill sets, the elimination
+    graph of George & Liu 1989: adj[u] is u's fill neighborhood among the
+    remaining vertices, and pivoting v joins its neighbors into a clique.
+    Pivots `order` if given, else the lexicographically-first minimum
+    (fill degree, vertex).  Returns (pivots, pivot degrees, the minimum
+    fill degree over the remaining vertices at each step)."""
+    adj: list[set[int]] = [set(g.adj[v]) for v in range(g.n)]
+    remaining = set(range(g.n))
+    pivots: list[int] = []
+    pivot_deg: list[int] = []
+    min_deg: list[int] = []
+    for t in range(g.n):
+        d, v = min((len(adj[u]), u) for u in remaining)
+        if order is not None:
+            v = order[t]
+        pivots.append(v)
+        pivot_deg.append(len(adj[v]))
+        min_deg.append(d)
+        nbrs = adj[v]
+        for a in nbrs:
+            fill = adj[a]
+            fill |= nbrs
+            fill.discard(a)
+            fill.discard(v)
+        adj[v] = set()
+        remaining.discard(v)
+    return pivots, pivot_deg, min_deg
+
+
 def exact_mindeg_bruteforce(g: StaticGraph) -> OrderingResult:
-    """Lexicographically-first minimum-degree ordering, recomputing all fill
-    degrees from scratch at every step.  Deterministic; no RNG."""
+    """Lexicographically-first minimum-degree ordering on the explicit
+    elimination graph.  Deterministic; no RNG."""
     t0 = time.perf_counter()
-    eliminated: list[int] = []
-    order: list[int] = []
-    degrees: list[int] = []
-    for _ in range(g.n):
-        fill = fill_graph_bruteforce(g, eliminated)
-        best = min((len(nbrs), v) for v, nbrs in fill.items())
-        order.append(best[1])
-        degrees.append(best[0])
-        eliminated.append(best[1])
+    order, degrees, _ = _eliminate(g)
     return OrderingResult(
         order=order,
         reported_degree=degrees,
@@ -236,19 +261,5 @@ def greedy_degree_trace(g: StaticGraph, order: list[int]) -> tuple[list[int], li
     component-graph machinery."""
     if sorted(order) != list(range(g.n)):
         raise ValueError("order is not a permutation")
-    adj: list[set[int]] = [set(g.adj[v]) for v in range(g.n)]
-    remaining = set(range(g.n))
-    pivot_deg: list[int] = []
-    min_deg: list[int] = []
-    for v in order:
-        pivot_deg.append(len(adj[v]))
-        min_deg.append(min(len(adj[u]) for u in remaining))
-        nbrs = sorted(adj[v])
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                adj[a].add(b)
-                adj[b].add(a)
-            adj[a].discard(v)
-        adj[v].clear()
-        remaining.discard(v)
+    _, pivot_deg, min_deg = _eliminate(g, order)
     return pivot_deg, min_deg

@@ -27,7 +27,6 @@ class ComponentGraph:
     def __init__(self, origin: StaticGraph):
         n = origin.n
         self.origin = origin
-        self._parent = list(range(n))
         self._nrem: list[set[int] | None] = [set(origin.adj[v]) for v in range(n)]
         self._ncomp: list[set[int] | None] = [set() for _ in range(n)]
         self._vrem = set(range(n))
@@ -43,24 +42,6 @@ class ComponentGraph:
 
     def is_remaining(self, v: int) -> bool:
         return v in self._vrem
-
-    def state(self, v: int) -> tuple[str, int | None]:
-        """("remaining", None) or ("eliminated", live component id)."""
-        if v in self._vrem:
-            return ("remaining", None)
-        return ("eliminated", self.component_of(v))
-
-    def component_of(self, v: int) -> int | None:
-        """Live component id a vertex was eliminated into, or None."""
-        if v in self._vrem:
-            return None
-        root = v
-        parent = self._parent
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
 
     # the sets returned below are live views, in no particular order; do
     # not mutate them
@@ -176,7 +157,6 @@ class ComponentGraph:
             if y not in wset:
                 wset.add(y)
                 self._ncomp[y].add(winner)
-        self._parent[loser] = winner
         self._vcomp.remove(loser)
         self._nrem[loser] = None
         self.meld_count += 1

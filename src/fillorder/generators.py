@@ -100,15 +100,10 @@ def gnp_graph(n: int, p: float, rng) -> StaticGraph:
     if total == 0:
         return from_edges(n, [])
     if total <= 4_000_000:
+        # pair t of the mask is the t-th (u, v), u < v, in row-major order
         mask = rng.random(total) < p
-        edges = []
-        t = 0
-        for u in range(n):
-            for v in range(u + 1, n):
-                if mask[t]:
-                    edges.append((u, v))
-                t += 1
-        return from_edges(n, edges)
+        us, vs = np.triu_indices(n, 1)
+        return from_edges(n, zip(us[mask].tolist(), vs[mask].tolist()))
     # sparse sampling: draw the edge count, then distinct pairs
     m = int(rng.binomial(total, p))
     chosen: set[tuple[int, int]] = set()

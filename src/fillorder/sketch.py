@@ -270,7 +270,9 @@ class SketchEnsemble:
     stored as arrays (see the module docstring).  Copy i draws its keys
     from the substream (seed, SKETCH_KEYS, i), as `DynamicSketch` does."""
 
-    def __init__(self, g: StaticGraph, seed: int, k: int = 0):
+    def __init__(self, g: StaticGraph, seed: int, k: int):
+        if k < 1:
+            raise ValueError("k must be at least 1")
         if g.n > RANK_LIMIT:
             raise ValueError(f"graph too large for int32 key ranks (n > {RANK_LIMIT})")
         self.cgraph = ComponentGraph(g)
@@ -285,8 +287,7 @@ class SketchEnsemble:
         self._updates = 0
         self._informs = 0
         self._changed = 0
-        if k:
-            self.add_copies(k)
+        self.add_copies(k)
 
     @property
     def k(self) -> int:
@@ -355,9 +356,6 @@ class SketchEnsemble:
         remaining vertices, ascending, whose minimum changed in some copy."""
         cg = self.cgraph
         nc = list(cg.component_neighbors(v))
-        if not self.k:
-            cg.pivot(v)
-            return np.empty(0, dtype=np.intp)
         kv = self._key[v]
         # Nrem(c) is Nrem(v) plus Nrem(w) - {v} for each adjacent component
         # w.  A row of Nrem(w) already holds at most comp[w], so it needs a

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from bruteforce_reference import reference_exact_mindeg
 from conftest import gnp
 from fillorder.bruteforce import (
     exact_mindeg_bruteforce,
@@ -8,6 +10,7 @@ from fillorder.bruteforce import (
     greedy_degree_trace,
     total_fill,
 )
+from fillorder.generators import ov_hard_graph, random_ov_instance
 from fillorder.graph import (
     cycle_graph,
     figure_example_graph,
@@ -91,6 +94,51 @@ def test_exact_mindeg_deterministic_and_idempotent():
     a = exact_mindeg_bruteforce(g)
     b = exact_mindeg_bruteforce(g)
     assert a.order == b.order and a.reported_degree == b.reported_degree
+
+
+def test_exact_mindeg_matches_from_scratch_reference_on_gnp():
+    rng = np.random.default_rng(2020)
+    for _ in range(300):
+        n = int(rng.integers(1, 41))
+        g = gnp(n, float(rng.uniform(0.05, 0.6)), rng)
+        assert exact_mindeg_bruteforce(g).key_material() == reference_exact_mindeg(g).key_material()
+
+
+def test_exact_mindeg_matches_from_scratch_reference_on_ov_gadgets():
+    # criterion 11's instances
+    for nvec, d, dens, seed in [(2, 2, 0.5, 0), (4, 3, 0.5, 1), (6, 4, 0.4, 2),
+                                (8, 4, 0.5, 3), (8, 2, 0.7, 4)]:
+        g, _ = ov_hard_graph(random_ov_instance(nvec, d, dens, seed))
+        assert exact_mindeg_bruteforce(g).key_material() == reference_exact_mindeg(g).key_material()
+
+
+def test_exact_mindeg_matches_from_scratch_reference_on_grids():
+    for rows in range(1, 11):
+        for cols in range(rows, 11):
+            edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+            edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+            g = from_edges(rows * cols, edges)
+            assert exact_mindeg_bruteforce(g).key_material() == reference_exact_mindeg(g).key_material()
+
+
+def test_greedy_degree_trace_matches_fill_graph_recomputation():
+    # independent check: both degrees recomputed from scratch at every step
+    rng = np.random.default_rng(77)
+    for _ in range(60):
+        n = int(rng.integers(1, 26))
+        g = gnp(n, float(rng.uniform(0.05, 0.6)), rng)
+        order = [int(v) for v in rng.permutation(n)]
+        pivot_deg, min_deg = [], []
+        for t, v in enumerate(order):
+            fill = fill_graph_bruteforce(g, order[:t])
+            pivot_deg.append(len(fill[v]))
+            min_deg.append(min(len(nbrs) for nbrs in fill.values()))
+        assert greedy_degree_trace(g, order) == (pivot_deg, min_deg)
+
+
+def test_greedy_degree_trace_requires_permutation():
+    with pytest.raises(ValueError):
+        greedy_degree_trace(path_graph(3), [0, 0, 2])
 
 
 def test_total_fill_tree_perfect_elimination_is_zero():

@@ -8,13 +8,11 @@ from fillorder.graph import figure_example_graph, from_edges, path_graph
 
 def test_figure_pivots_merge_into_one_component():
     cg = ComponentGraph(figure_example_graph())
-    cg.pivot(4)
-    cg.pivot(6)
-    comps = list(cg.component_vertices())
-    assert len(comps) == 1
-    x = comps[0]
+    c4 = cg.pivot(4)
+    assert cg.component_neighbors(6) == {c4}
+    x = cg.pivot(6)
+    assert cg.component_vertices() == {x}
     assert sorted(cg.remaining_neighbors(x)) == [0, 1, 3, 5]
-    assert cg.component_of(4) == cg.component_of(6) == x
 
 
 def test_isolated_pivot_has_empty_neighborhood():
@@ -47,11 +45,12 @@ def test_pivot_requires_remaining():
 
 def test_state_query():
     cg = ComponentGraph(figure_example_graph())
-    assert cg.state(4) == ("remaining", None)
-    cg.pivot(4)
-    cg.pivot(6)
-    kind, comp = cg.state(4)
-    assert kind == "eliminated" and comp == cg.component_of(6)
+    assert cg.is_remaining(4)
+    c4 = cg.pivot(4)
+    assert not cg.is_remaining(4) and c4 == 4
+    assert c4 in cg.component_neighbors(6)
+    comp = cg.pivot(6)
+    assert not cg.is_remaining(6) and cg.component_vertices() == {comp}
 
 
 def test_fill_neighborhood_matches_bruteforce_small_exhaustive(rng):

@@ -36,14 +36,22 @@ def _pivots(g, count: int, seed: int) -> list[int]:
 
 
 def observe_component_ids(name: str, count: int, seed: int) -> list[int]:
-    """component_of of every pivoted vertex, after the whole sequence."""
+    """Live component id of every pivoted vertex, after the whole
+    sequence.  Members are tracked here: a pivot melds v with the
+    components adjacent to it, under the id that `pivot` returns."""
     g = GRAPHS[name]()
     cg = ComponentGraph(g)
     order = _pivots(g, count, seed)
+    members: dict[int, set[int]] = {}
     for v in order:
-        cg.pivot(v)
+        merged = {v}
+        for w in cg.component_neighbors(v):
+            merged |= members.pop(w)
+        members[cg.pivot(v)] = merged
     cg.check_invariants()
-    return [cg.component_of(v) for v in order]
+    assert set(members) == cg.component_vertices()
+    component_of = {u: c for c, group in members.items() for u in group}
+    return [component_of[v] for v in order]
 
 
 def observe_sketch(name: str, count: int, seed: int):

@@ -218,6 +218,11 @@ def test_rank_range_limit_is_a_clear_error(monkeypatch):
     SketchEnsemble(path_graph(4), 0, 2)
 
 
+def test_zero_copies_is_a_clear_error():
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        SketchEnsemble(path_graph(4), 0, 0)
+
+
 def test_blocked_gathers_match_reference(monkeypatch):
     # a tiny gather block splits every reduction over many blocks
     monkeypatch.setattr(sketch, "_GATHER_BLOCK", 16)

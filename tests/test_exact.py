@@ -125,8 +125,7 @@ def test_determinism():
 def test_doubling_replay_matches_fresh_sketches():
     # copies added mid-run must agree with independently replayed copies
     g = gnp(12, 0.35, np.random.default_rng(3))
-    ens = SketchEnsemble(g, seed=9)
-    ens.add_copies(2)
+    ens = SketchEnsemble(g, seed=9, k=2)
     ens.pivot(0)
     ens.pivot(5)
     late = ens.add_copies(2)

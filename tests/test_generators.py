@@ -13,6 +13,7 @@ from fillorder.generators import (
     ov_hard_graph,
     random_ov_instance,
 )
+from fillorder.graph import from_edges
 
 
 def test_next_prime():
@@ -102,6 +103,32 @@ def test_gnp_empty_and_count():
     ms = [gnp_graph(100, 0.1, np.random.default_rng(s)).m for s in range(30)]
     mean, sd = 495, math.sqrt(4950 * 0.1 * 0.9)
     assert abs(np.mean(ms) - mean) <= 3 * sd / math.sqrt(len(ms)) + 1
+
+
+def _gnp_dense_loop(n: int, p: float, rng):
+    """The dense branch as a Python double loop over the pairs."""
+    mask = rng.random(n * (n - 1) // 2) < p
+    edges = []
+    t = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            if mask[t]:
+                edges.append((u, v))
+            t += 1
+    return from_edges(n, edges)
+
+
+def test_gnp_dense_branch_matches_double_loop():
+    cases = [(2000, 0.003), (2, 1.0), (3, 0.5), (60, 0.0)]
+    cases += [(int(n), float(p)) for n, p in zip(np.random.default_rng(4).integers(2, 400, 60),
+                                                  np.random.default_rng(5).uniform(0.0, 1.0, 60))]
+    for seed, (n, p) in enumerate(cases):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = gnp_graph(n, p, got_rng), _gnp_dense_loop(n, p, want_rng)
+        assert (got.n, got.adj) == (want.n, want.adj)
+        assert all(type(w) is int for nbrs in got.adj for w in nbrs)
+        # the generator's later state is the same too
+        assert got_rng.random() == want_rng.random()
 
 
 def test_gnp_sparse_path_matches_density():
