@@ -9,14 +9,17 @@ transitive closure and reachability*),
 
 has expectation exactly 1/(deg+1): the minimum of deg+1 uniform keys
 makes each term an exponential of rate deg+1.  Vertices are bucketed by
-powers of (1+eps) of 1/Q.  Each
-nonempty bucket keeps a plain list of its members, the degree lists of
-AMD (Amestoy, Davis & Duff 1996): a vertex is appended on entry and
-swap-removed on exit, so a move costs O(1) and a uniform member pick is
-a list index.  A pivot recomputes Q only for the vertices whose minimum
-changed in some copy, reading their k minimum keys through the
-ensemble's rank -> draw table, and moves a vertex only when its bucket
-changes.
+powers of (1+eps) of 1/Q: bucket i > 0 holds Q in
+[(1+eps)^-(i+1), (1+eps)^-i) and bucket 0 every Q >= 1/(1+eps).  A
+bucket id is a binary search in a table of the powers (1+eps)^-(i+1),
+computed as Python floats and extended on demand to the smallest Q
+seen.  Each nonempty bucket keeps a plain list of its members, the
+degree lists of AMD (Amestoy, Davis & Duff 1996): a vertex is appended
+on entry and swap-removed on exit, so a move costs O(1) and a uniform
+member pick is a list index.  A pivot recomputes Q only for the vertices
+whose minimum changed in some copy, as a sum over the ensemble's
+rank -> -ln(1 - draw) table, so no log is taken per pivot, and moves a
+vertex only when its bucket id changes.
 
 `static_one_degree_quantiles` keeps the floor(k(1-1/e))-ranked minimum
 key value, whose reciprocal also concentrates near deg+1.
@@ -30,10 +33,9 @@ import numpy as np
 
 from . import rng as rngmod
 from .graph import StaticGraph
-from .sketch import SketchEnsemble
+from .sketch import BELOW_ONE, SketchEnsemble
 
 QUANTILE_FRACTION = 1.0 - 1.0 / math.e
-_BELOW_ONE = np.nextafter(1.0, 0.0)
 # copies drawn per batch by `static_one_degree_quantiles`; the draw order
 # follows it, so changing it changes seeded quantiles
 _QUANTILE_BLOCK = 2048
@@ -48,7 +50,7 @@ def mean_of_minima(vals: np.ndarray) -> np.ndarray:
     """Q of each row of a (rows, k) array of minimum key values.  A key
     within 2^10 of 2^64 rounds to the value 1.0; it is read as the
     largest float below 1, so that Q stays finite."""
-    return -np.log1p(-np.minimum(vals, _BELOW_ONE)).sum(axis=1) / vals.shape[1]
+    return -np.log1p(-np.minimum(vals, BELOW_ONE)).sum(axis=1) / vals.shape[1]
 
 
 def quantile_rank(k: int) -> int:
@@ -70,18 +72,17 @@ class ApproxDegreeDS:
             raise ValueError("k must be at least 1")
         self.ensemble = SketchEnsemble(g, rngmod.normalize_seed(seed), self.k)
         self.cgraph = self.ensemble.cgraph
-        self._q: list[float] = [0.0] * g.n
-        self._bucket = [-1] * g.n
+        self._q = np.zeros(g.n)
+        self._bucket = np.full(g.n, -1, dtype=np.int64)
         self._pos = [0] * g.n
         self._members: dict[int, list[int]] = {}
-        self._place(range(g.n), self._estimates(np.arange(g.n)))
+        # -(1+eps)^-(i+1) for i = 0, 1, ..., ascending; grown on demand
+        self._neg_powers = np.empty(0)
+        rows = np.arange(g.n)
+        self._place(rows, self.ensemble.mean_of_minima(rows))
 
-    def _estimates(self, rows) -> list[float]:
-        return mean_of_minima(self.ensemble.min_key_floats(rows)).tolist()
-
-    def _leave(self, u: int) -> None:
-        """Swap-remove u from its bucket's member list."""
-        b = self._bucket[u]
+    def _leave(self, u: int, b: int) -> None:
+        """Swap-remove u from the member list of its bucket b."""
         members = self._members[b]
         last = members.pop()
         if last != u:
@@ -89,29 +90,36 @@ class ApproxDegreeDS:
             self._pos[last] = self._pos[u]
         elif not members:
             del self._members[b]
-        self._bucket[u] = -1
 
-    def _place(self, rows, qs) -> None:
-        """Set Q of `rows`, taken in the given order, to `qs`.
+    def _bucket_ids(self, qs: np.ndarray) -> np.ndarray:
+        """The smallest i >= 0 with (1+eps)^-(i+1) <= q, per q in `qs`: a
+        binary search in the table of those powers, as Python floats,
+        extended until its last power is at most min(qs)."""
+        table = self._neg_powers
+        if len(qs) and (not len(table) or table[-1] < -qs.min()):
+            base = 1.0 + self.eps
+            size = len(table)
+            while not size or -base ** -size < -qs.min():
+                size = max(64, 2 * size)
+            grown = [-base ** -(i + 1) for i in range(len(table), size)]
+            self._neg_powers = table = np.concatenate((table, grown))
+        return np.searchsorted(table, -qs)
+
+    def _place(self, rows: np.ndarray, qs: np.ndarray) -> None:
+        """Set Q of `rows`, an index array taken in its order, to `qs`.
         A row whose bucket id changes leaves its old member list and is
         appended to its new one."""
-        base = 1.0 + self.eps
-        log_base = math.log(base)
-        for y, q in zip(rows, qs):
-            self._q[y] = q
-            # the smallest i >= 0 with base^-(i+1) <= q: the log's estimate
-            # less one stays below it despite rounding, and steps up
-            # against the float powers
-            b = max(0, int(-math.log(q) / log_base) - 1)
-            while base ** -(b + 1) > q:
-                b += 1
-            if b != self._bucket[y]:
-                if self._bucket[y] >= 0:
-                    self._leave(y)
-                members = self._members.setdefault(b, [])
-                self._bucket[y] = b
-                self._pos[y] = len(members)
-                members.append(y)
+        self._q[rows] = qs
+        ids = self._bucket_ids(qs)
+        old = self._bucket[rows]
+        moved = np.flatnonzero(ids != old)
+        for y, a, b in zip(rows[moved].tolist(), old[moved].tolist(), ids[moved].tolist()):
+            if a >= 0:
+                self._leave(y, a)
+            members = self._members.setdefault(b, [])
+            self._pos[y] = len(members)
+            members.append(y)
+        self._bucket[rows[moved]] = ids[moved]
 
     # ---------------- queries ----------------
 
@@ -119,17 +127,17 @@ class ApproxDegreeDS:
         """Q(u), the mean of minima, about 1/(fill degree + 1)."""
         if not self.cgraph.is_remaining(u):
             raise ValueError(f"vertex {u} is not remaining")
-        return self._q[u]
+        return float(self._q[u])
 
     # ---------------- updates ----------------
 
     def pivot(self, u: int) -> None:
         if not self.cgraph.is_remaining(u):
             raise ValueError(f"vertex {u} is not remaining")
-        self._leave(u)
+        self._leave(u, int(self._bucket[u]))
         rows = self.ensemble.pivot(u)
         if len(rows):
-            self._place(rows.tolist(), self._estimates(rows))
+            self._place(rows, self.ensemble.mean_of_minima(rows))
 
     # ---------------- reporting ----------------
 

@@ -47,7 +47,12 @@ class _CliError(Exception):
 
 def _default_seed() -> int:
     env = os.environ.get("FILLORDER_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise _CliError(EXIT_FLAGS, f"FILLORDER_SEED must be an integer, not {env!r}") from None
 
 
 def _load_input(args) -> StaticGraph:
@@ -273,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["bruteforce", "delta-capped", "output-sensitive", "approx"])
     p_order.add_argument("--epsilon", type=float, default=0.5)
     p_order.add_argument("--delta", type=int, default=None)
-    p_order.add_argument("--seed", type=int, default=_default_seed())
+    p_order.add_argument("--seed", type=int, default=None)
     p_order.add_argument("--verify", action="store_true")
     p_order.add_argument("--timing", action="store_true")
     p_order.add_argument("--output")
@@ -288,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--eliminate", default="")
     p_est.add_argument("--epsilon", type=float, default=0.25)
     p_est.add_argument("--sketches", type=int, default=None)
-    p_est.add_argument("--seed", type=int, default=_default_seed())
+    p_est.add_argument("--seed", type=int, default=None)
     p_est.add_argument("--output")
     p_est.set_defaults(func=_cmd_estimate)
 
@@ -299,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--d", type=int, default=4)
     p_gen.add_argument("--density", type=float, default=0.5)
     p_gen.add_argument("--out-format", choices=["edges", "mtx"], default="edges")
-    p_gen.add_argument("--seed", type=int, default=_default_seed())
+    p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--output")
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -308,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--mode", choices=["fixed", "fresh"], default="fixed")
     p_demo.add_argument("--n", type=int, default=4096)
     p_demo.add_argument("--epsilon", type=float, default=0.5)
-    p_demo.add_argument("--seed", type=int, default=_default_seed())
+    p_demo.add_argument("--seed", type=int, default=None)
     p_demo.add_argument("--output")
     p_demo.set_defaults(func=_cmd_demo)
 
@@ -322,6 +327,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_FLAGS if e.code not in (0, None) else EXIT_OK
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except _CliError as e:
         print(f"fillorder: {e.message}", file=sys.stderr)

@@ -218,8 +218,7 @@ def approx_min_degree_sequence(
         "label_evals": 0,
     }
 
-    for t in range(n):
-        crng = rngmod.substream(seed, rngmod.CANDIDATES, t)
+    for crng in rngmod.substreams(seed, rngmod.CANDIDATES, n):
         survivors, drawn = trimmed_candidates(
             ds.report(max_buckets=candidate_window), eps_hat, crng)
         counters["candidates_total"] += drawn

@@ -30,12 +30,20 @@ same keys bit for bit:
             raw value unchanged, so the keys are the raw outputs with
             zeros dropped and the stream continued.
 
+The seeding step works for any namespace (`stream_states`).  The approx
+driver draws step t's candidates from substream(seed, CANDIDATES, t);
+`substreams` gives one Generator the states of a block of steps in turn,
+so a step sets a state instead of building a SeedSequence and a
+Generator.  Setting a state also clears PCG64's buffered 32-bit half, so
+every draw equals a fresh Generator's.
+
 The batch must equal the per-copy streams exactly: seeded orders and
-`key_material()` depend on every key, and `DynamicSketch` and the test
-references still build one Generator per copy.  None of the steps above
-is a numpy interface, so they can only be checked against numpy itself:
-tests/test_rng.py compares every row with the per-copy Generator on the
-installed numpy, including a forced raw 0.
+`key_material()` depend on every key and candidate draw, and
+`DynamicSketch` and the test references still build one Generator per
+stream.  None of the steps above is a numpy interface, so they can only
+be checked against numpy itself: tests/test_rng.py compares every row
+with the per-copy Generator on the installed numpy, including a forced
+raw 0, and the candidate streams' draws with fresh Generators.
 """
 
 from __future__ import annotations
@@ -58,6 +66,8 @@ _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
+# streams whose states `substreams` derives at once
+_STREAM_BLOCK = 4096
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M128 = (1 << 128) - 1
@@ -117,17 +127,17 @@ def _pool(entropy: list) -> list:
     return pool
 
 
-def sketch_key_states(seed: int, first: int, count: int) -> list[dict]:
-    """PCG64 states of substream(seed, SKETCH_KEYS, i) for the copies
+def stream_states(seed: int, namespace: int, first: int, count: int) -> list[dict]:
+    """PCG64 states of substream(seed, namespace, i) for
     i = first, ..., first + count - 1, as its `state` property gives them."""
     if first < 0 or count < 0:
         raise ValueError("first and count must be nonnegative")
     if first + count > 1 << 32:
-        raise ValueError("copy index must fit one 32-bit word")
+        raise ValueError("stream index must fit one 32-bit word")
     run = _words(seed)
     run += [0] * (_POOL_SIZE - len(run))
     index = np.arange(first, first + count, dtype=np.uint32)
-    pool = _pool(run + _words(SKETCH_KEYS) + [index])
+    pool = _pool(run + _words(namespace) + [index])
     # generate_state(4, np.uint64): eight words from the cycled pool
     const = _INIT_B
     words = []
@@ -151,7 +161,7 @@ def sketch_key_draws(seed: int, first: int, count: int, n: int) -> np.ndarray:
     """(count, n) uint64 keys; row j equals
     substream(seed, SKETCH_KEYS, first + j).integers(1, 2**64, size=n,
     dtype=np.uint64) bit for bit (see the module docstring)."""
-    states = sketch_key_states(seed, first, count)
+    states = stream_states(seed, SKETCH_KEYS, first, count)
     out = np.empty((count, n), dtype=np.uint64)
     bitgen = np.random.PCG64(0)
     for j, state in enumerate(states):
@@ -166,3 +176,16 @@ def sketch_key_draws(seed: int, first: int, count: int, n: int) -> np.ndarray:
             raw = np.concatenate((raw, bitgen.random_raw(n - len(raw))))
         out[j] = raw
     return out
+
+
+def substreams(seed: int, namespace: int, count: int):
+    """Yield substream(seed, namespace, i) for i = 0, ..., count - 1,
+    equal in every draw, as one Generator whose PCG64 is given each
+    stream's state in turn; a yielded Generator is valid until the next
+    one is taken.  States are derived _STREAM_BLOCK at a time."""
+    gen = np.random.Generator(np.random.PCG64(0))
+    bitgen = gen.bit_generator
+    for first in range(0, count, _STREAM_BLOCK):
+        for state in stream_states(seed, namespace, first, min(_STREAM_BLOCK, count - first)):
+            bitgen.state = state
+            yield gen

@@ -3,28 +3,31 @@
 Every vertex gets a random key per sketch copy; each remaining vertex
 tracks, per copy, the minimum key over its closed fill neighborhood.
 
-`SketchEnsemble` holds k copies as three (n, k) int32 arrays over one
+`SketchEnsemble` holds k copies as two (n, k) int32 arrays over one
 shared component graph:
 
-  key[v, i]    rank of v's key in copy i; keys are ordered by (draw,
-               vertex id), so a stable argsort of copy i's draws gives
-               the ranks
+  val[x, i]    while x is remaining, the rank of x's key in copy i; keys
+               are ordered by (draw, vertex id), so a stable argsort of
+               copy i's draws gives the ranks.  Once x is the id of a
+               live component, the minimum key rank over Nrem(x).  No id
+               needs both: component ids are eliminated vertices, whose
+               keys are not read again.
   fill[u, i]   minimum key rank over u's closed fill neighborhood, for
                every remaining vertex u
-  comp[x, i]   minimum key rank over Nrem(x), for every live component x
 
-plus two rank tables, rank -> draw (as a float in (0, 1]) for degree
-estimates and rank -> vertex id for minimizers.  Pivoting v changes the fill
-neighborhood only of the vertices in Nrem(c), c the merged component:
-each gains Nrem(c) and loses v.  So comp[c] is the minimum of key over
-Nrem(c) and each such row becomes min(fill row, comp[c]), except in a
-copy whose old minimum was v's own key, where that entry is recomputed
-from {u} | Nrem(u) and comp over Ncomp(u).  Any other old minimum
-belongs to a vertex still in the neighborhood, and every new member lies
-in Nrem(c), whose minimum is comp[c].  Nrem(c) is Nrem(v) plus
-Nrem(w) - {v} for each component w adjacent to v, and a row of Nrem(w)
-already holds at most comp[w]; so the rows of Nrem(w) are read only if
-comp[w] was v's key or exceeds comp[c] in some copy.
+plus three rank tables: rank -> draw (as a float in (0, 1]) and
+rank -> -ln(1 - draw) for degree estimates, rank -> vertex id for
+minimizers.  Pivoting v changes the fill neighborhood only of the
+vertices in Nrem(c), c the merged component: each gains Nrem(c) and
+loses v.  So val[c] is the minimum of the keys over Nrem(c) and each such
+row becomes min(fill row, val[c]), except in a copy whose old minimum was
+v's own key, where that entry is recomputed as the minimum of val over
+{u} | Nrem(u) | Ncomp(u).  Any other old minimum belongs to a vertex
+still in the neighborhood, and every new member lies in Nrem(c), whose
+minimum is val[c].  Nrem(c) is Nrem(v) plus Nrem(w) - {v} for each
+component w adjacent to v, and a row of Nrem(w) already holds at most
+val[w]; so the rows of Nrem(w) are read only if val[w] was v's key or
+exceeds val[c] in some copy.
 
 Copy i draws its keys from the substream (seed, SKETCH_KEYS, i), so
 added copies leave the existing ones unchanged.  `add_copies` takes the
@@ -54,6 +57,9 @@ from .component import ComponentGraph
 from .graph import StaticGraph
 _KEY_SCALE = float(2**64)
 RANK_LIMIT = 2**31 - 1
+# a key within 2^10 of 2^64 rounds to the value 1.0; -ln(1 - value) reads
+# it as the largest float below 1, so that the log stays finite
+BELOW_ONE = np.nextafter(1.0, 0.0)
 # entries per block when minima are reduced over index groups and when
 # key draws are sorted into ranks; building k = 2000 copies of a
 # 1000-vertex, 5000-edge graph peaks at 131 MB with blocked minima and
@@ -278,10 +284,10 @@ class SketchEnsemble:
         self.cgraph = ComponentGraph(g)
         self.seed = seed
         n = g.n
-        self._key = np.empty((n, 0), dtype=np.int32)
+        self._val = np.empty((n, 0), dtype=np.int32)
         self._fill = np.empty((n, 0), dtype=np.int32)
-        self._comp = np.empty((n, 0), dtype=np.int32)
         self._draw = np.empty((n, 0), dtype=np.float64)
+        self._neglog = np.empty((n, 0), dtype=np.float64)
         self._vertex = np.empty((n, 0), dtype=np.int32)
         self._cols = np.arange(0)
         self._updates = 0
@@ -291,7 +297,7 @@ class SketchEnsemble:
 
     @property
     def k(self) -> int:
-        return self._key.shape[1]
+        return self._val.shape[1]
 
     # ---------------- copies ----------------
 
@@ -300,19 +306,20 @@ class SketchEnsemble:
         graph's current state; returns their indices."""
         cg = self.cgraph
         n, first = cg.n, self.k
-        key, draw, vertex = self._draw_keys(first, count)
-        comp = np.full((n, count), n, dtype=np.int32)
+        val, draw, vertex = self._draw_keys(first, count)
+        # the rows of live components are rows of eliminated vertices, so
+        # their minima overwrite no key that is read again
         live = [x for x in cg.component_vertices() if len(cg.remaining_neighbors(x))]
         if live:
-            comp[live] = _group_min(key, [cg.remaining_neighbors(x) for x in live])
+            val[live] = _group_min(val, [cg.remaining_neighbors(x) for x in live])
         fill = np.full((n, count), n, dtype=np.int32)
         rows = list(cg.remaining_vertices())
         if rows:
-            fill[rows] = self._fill_minima(key, comp, rows)
-        self._key = np.hstack((self._key, key))
+            fill[rows] = _group_min(val, self._closed_groups(rows))
+        self._val = np.hstack((self._val, val))
         self._fill = np.hstack((self._fill, fill))
-        self._comp = np.hstack((self._comp, comp))
         self._draw = np.hstack((self._draw, draw))
+        self._neglog = np.hstack((self._neglog, -np.log1p(-np.minimum(draw, BELOW_ONE))))
         self._vertex = np.hstack((self._vertex, vertex))
         self._cols = np.arange(self.k)
         return range(first, first + count)
@@ -337,17 +344,11 @@ class SketchEnsemble:
             draw[:, lo:hi] = np.take_along_axis(draws, by_key, axis=1).T / _KEY_SCALE
         return key, draw, vertex
 
-    def _fill_minima(self, key: np.ndarray, comp: np.ndarray, rows) -> np.ndarray:
-        """Minimum over {u} | Nrem(u) of `key` and over Ncomp(u) of `comp`,
-        recomputed from scratch for each remaining vertex u in `rows`."""
+    def _closed_groups(self, rows) -> list[list[int]]:
+        """[u, *Nrem(u), *Ncomp(u)] per remaining vertex u in `rows`: the
+        rows of `_val` whose minimum is u's fill minimum."""
         cg = self.cgraph
-        out = _group_min(key, [[u, *cg.remaining_neighbors(u)] for u in rows])
-        ncomp = [cg.component_neighbors(u) for u in rows]
-        with_comp = [i for i, nc in enumerate(ncomp) if nc]
-        if with_comp:
-            cmin = _group_min(comp, [ncomp[i] for i in with_comp])
-            out[with_comp] = np.minimum(out[with_comp], cmin)
-        return out
+        return [[u, *cg.remaining_neighbors(u), *cg.component_neighbors(u)] for u in rows]
 
     # ---------------- updates ----------------
 
@@ -355,18 +356,21 @@ class SketchEnsemble:
         """Eliminate v on the shared component graph.  Returns the
         remaining vertices, ascending, whose minimum changed in some copy."""
         cg = self.cgraph
+        val = self._val
         nc = list(cg.component_neighbors(v))
-        kv = self._key[v]
+        # a copy: row v may hold the merged component's minima below
+        kv = val[v].copy()
         # Nrem(c) is Nrem(v) plus Nrem(w) - {v} for each adjacent component
-        # w.  A row of Nrem(w) already holds at most comp[w], so it needs a
-        # look only where comp[w] was v's key or exceeds the merged minimum.
+        # w.  A row of Nrem(w) already holds at most the minimum of w, so it
+        # needs a look only where that was v's key or exceeds the merged
+        # minimum.
         own = _rows_of(cg.remaining_neighbors(v))
         cmin = self._rows_min(own)
         reads = self.k * len(own)
         parts = []
         for w in nc:
             wrows = None
-            wmin = self._comp[w]
+            wmin = val[w]
             if (wmin == kv).any():
                 wrows = _rows_of(cg.remaining_neighbors(w), drop=v)
                 wmin = self._rows_min(wrows)
@@ -380,7 +384,7 @@ class SketchEnsemble:
             elif (wmin > cmin).any():
                 touched.append(_rows_of(cg.remaining_neighbors(w), drop=v))
         c = cg.pivot(v)
-        self._comp[c] = cmin
+        val[c] = cmin
         rows = np.unique(np.concatenate(touched))
         old = self._fill[rows]
         new = np.minimum(old, cmin)
@@ -388,15 +392,8 @@ class SketchEnsemble:
         si, sc = np.nonzero(old == kv)
         if len(si):
             srows, of_row = np.unique(si, return_inverse=True)
-            ys = rows[srows].tolist()
-            m, r = _pair_min(self._key, [[y, *cg.remaining_neighbors(y)] for y in ys], of_row, sc)
+            m, r = _pair_min(val, self._closed_groups(rows[srows].tolist()), of_row, sc)
             reads += r
-            ncomp = [cg.component_neighbors(y) for y in ys]
-            sel = np.flatnonzero(np.fromiter(map(len, ncomp), dtype=np.intp)[of_row])
-            if len(sel):
-                cm, r = _pair_min(self._comp, ncomp, of_row[sel], sc[sel])
-                m[sel] = np.minimum(m[sel], cm)
-                reads += r
             new[si, sc] = m
         self._fill[rows] = new
         changed = new != old
@@ -408,7 +405,7 @@ class SketchEnsemble:
     def _rows_min(self, rows: np.ndarray) -> np.ndarray:
         """Minimum key rank over `rows` per copy; n when `rows` is empty."""
         if len(rows):
-            return self._key[rows].min(axis=0)
+            return self._val[rows].min(axis=0)
         return np.full(self.k, self.cgraph.n, dtype=np.int32)
 
     # ---------------- queries (rows must be remaining vertices) ----------------
@@ -423,6 +420,12 @@ class SketchEnsemble:
         """(len(rows), k) minimum key values, as floats in (0, 1]; a key
         within 2^10 of 2^64 rounds to 1.0."""
         return self._by_rank(self._draw, rows)
+
+    def mean_of_minima(self, rows) -> np.ndarray:
+        """Mean over the copies of -ln(1 - minimum key value), per row,
+        read from the rank -> -ln(1 - draw) table; equal bit for bit to
+        `buckets.mean_of_minima(self.min_key_floats(rows))`."""
+        return self._by_rank(self._neglog, rows).sum(axis=1) / self.k
 
     def minimizers(self, rows) -> np.ndarray:
         """(len(rows), k) ids of the vertices holding the minimum keys."""

@@ -6,16 +6,23 @@ behaviour so differential tests can compare against them: k
 batches replayed through the pivot history on a private graph, and
 each vertex's k minimum key values kept per copy, read back for every
 row that changed in some copy.
+
+Also kept: the ensemble's pivot and copy building on two arrays, key
+ranks and component minima (`TwoArrayEnsemble`), which one array of
+values replaced, and the per-row bucket id formula (`formula_bucket`),
+which a binary search in a table of powers replaced.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from fillorder import rng as rngmod
 from fillorder.buckets import ApproxDegreeDS, mean_of_minima, sketch_count
 from fillorder.component import ComponentGraph
-from fillorder.sketch import DynamicSketch
+from fillorder.sketch import DynamicSketch, SketchEnsemble, _group_min, _pair_min, _rows_of
 
 
 class ReferenceEnsemble:
@@ -97,11 +104,12 @@ class ReferenceApproxDegreeDS(ApproxDegreeDS):
         self._remaining = set(range(g.n))
         self._cur = np.array([[s.min_key_float(u) for s in self.sketches]
                               for u in range(g.n)], dtype=np.float64).reshape(g.n, self.k)
-        self._q = [0.0] * g.n
-        self._bucket = [-1] * g.n
+        self._q = np.zeros(g.n)
+        self._bucket = np.full(g.n, -1, dtype=np.int64)
         self._pos = [0] * g.n
         self._members = {}
-        self._place(range(g.n), mean_of_minima(self._cur).tolist())
+        self._neg_powers = np.empty(0)
+        self._place(np.arange(g.n), mean_of_minima(self._cur))
         self.pivots = 0
 
     def estimate(self, u: int) -> float:
@@ -112,7 +120,7 @@ class ReferenceApproxDegreeDS(ApproxDegreeDS):
     def pivot(self, u: int) -> None:
         if u not in self._remaining:
             raise ValueError(f"vertex {u} is not remaining")
-        self._leave(u)
+        self._leave(u, int(self._bucket[u]))
         self._remaining.discard(u)
         self.cgraph.pivot(u, observers=self.sketches)
         touched = set()
@@ -121,6 +129,125 @@ class ReferenceApproxDegreeDS(ApproxDegreeDS):
                 if y in self._remaining:
                     self._cur[y, i] = s.min_key_float(y)
                     touched.add(y)
-        rows = sorted(touched)
-        self._place(rows, mean_of_minima(self._cur[rows]).tolist())
+        rows = np.array(sorted(touched), dtype=np.intp)
+        self._place(rows, mean_of_minima(self._cur[rows]))
         self.pivots += 1
+
+
+def formula_bucket(q: float, eps: float) -> int:
+    """Bucket id of Q = q computed per row: the smallest i >= 0 with
+    (1+eps)^-(i+1) <= q, starting one below the log's estimate and
+    stepping up against the float powers."""
+    base = 1.0 + eps
+    b = max(0, int(-math.log(q) / math.log(base)) - 1)
+    while base ** -(b + 1) > q:
+        b += 1
+    return b
+
+
+class TwoArrayEnsemble(SketchEnsemble):
+    """The ensemble with key ranks and component minima in two (n, k)
+    arrays, `_key` and `_comp`; stale fill minima are recomputed with one
+    pair-wise gather over each array.  The query methods are shared."""
+
+    def __init__(self, g, seed: int, k: int):
+        self.cgraph = ComponentGraph(g)
+        self.seed = seed
+        n = g.n
+        self._key = np.empty((n, 0), dtype=np.int32)
+        self._fill = np.empty((n, 0), dtype=np.int32)
+        self._comp = np.empty((n, 0), dtype=np.int32)
+        self._draw = np.empty((n, 0), dtype=np.float64)
+        self._vertex = np.empty((n, 0), dtype=np.int32)
+        self._cols = np.arange(0)
+        self._updates = 0
+        self._informs = 0
+        self._changed = 0
+        self.add_copies(k)
+
+    @property
+    def k(self) -> int:
+        return self._key.shape[1]
+
+    def add_copies(self, count: int) -> range:
+        cg = self.cgraph
+        n, first = cg.n, self.k
+        key, draw, vertex = self._draw_keys(first, count)
+        comp = np.full((n, count), n, dtype=np.int32)
+        live = [x for x in cg.component_vertices() if len(cg.remaining_neighbors(x))]
+        if live:
+            comp[live] = _group_min(key, [cg.remaining_neighbors(x) for x in live])
+        fill = np.full((n, count), n, dtype=np.int32)
+        rows = list(cg.remaining_vertices())
+        if rows:
+            fill[rows] = self._two_array_minima(key, comp, rows)
+        self._key = np.hstack((self._key, key))
+        self._fill = np.hstack((self._fill, fill))
+        self._comp = np.hstack((self._comp, comp))
+        self._draw = np.hstack((self._draw, draw))
+        self._vertex = np.hstack((self._vertex, vertex))
+        self._cols = np.arange(self.k)
+        return range(first, first + count)
+
+    def _two_array_minima(self, key, comp, rows) -> np.ndarray:
+        cg = self.cgraph
+        out = _group_min(key, [[u, *cg.remaining_neighbors(u)] for u in rows])
+        ncomp = [cg.component_neighbors(u) for u in rows]
+        with_comp = [i for i, nc in enumerate(ncomp) if nc]
+        if with_comp:
+            cmin = _group_min(comp, [ncomp[i] for i in with_comp])
+            out[with_comp] = np.minimum(out[with_comp], cmin)
+        return out
+
+    def pivot(self, v: int) -> np.ndarray:
+        cg = self.cgraph
+        nc = list(cg.component_neighbors(v))
+        kv = self._key[v]
+        own = _rows_of(cg.remaining_neighbors(v))
+        cmin = self._rows_min(own)
+        reads = self.k * len(own)
+        parts = []
+        for w in nc:
+            wrows = None
+            wmin = self._comp[w]
+            if (wmin == kv).any():
+                wrows = _rows_of(cg.remaining_neighbors(w), drop=v)
+                wmin = self._rows_min(wrows)
+                reads += self.k * len(wrows)
+            parts.append((w, wrows, wmin))
+            cmin = np.minimum(cmin, wmin)
+        touched = [own]
+        for w, wrows, wmin in parts:
+            if wrows is not None:
+                touched.append(wrows)
+            elif (wmin > cmin).any():
+                touched.append(_rows_of(cg.remaining_neighbors(w), drop=v))
+        c = cg.pivot(v)
+        self._comp[c] = cmin
+        rows = np.unique(np.concatenate(touched))
+        old = self._fill[rows]
+        new = np.minimum(old, cmin)
+        si, sc = np.nonzero(old == kv)
+        if len(si):
+            srows, of_row = np.unique(si, return_inverse=True)
+            ys = rows[srows].tolist()
+            m, r = _pair_min(self._key, [[y, *cg.remaining_neighbors(y)] for y in ys], of_row, sc)
+            reads += r
+            ncomp = [cg.component_neighbors(y) for y in ys]
+            sel = np.flatnonzero(np.fromiter(map(len, ncomp), dtype=np.intp)[of_row])
+            if len(sel):
+                cm, r = _pair_min(self._comp, ncomp, of_row[sel], sc[sel])
+                m[sel] = np.minimum(m[sel], cm)
+                reads += r
+            new[si, sc] = m
+        self._fill[rows] = new
+        changed = new != old
+        self._updates += reads
+        self._informs += self.k * len(rows)
+        self._changed += int(np.count_nonzero(changed))
+        return rows[changed.any(axis=1)]
+
+    def _rows_min(self, rows: np.ndarray) -> np.ndarray:
+        if len(rows):
+            return self._key[rows].min(axis=0)
+        return np.full(self.k, self.cgraph.n, dtype=np.int32)

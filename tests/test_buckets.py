@@ -8,11 +8,13 @@ from fillorder import rng as rngmod
 from fillorder.bruteforce import fill_degree_bruteforce
 from fillorder.buckets import (
     ApproxDegreeDS,
+    mean_of_minima,
     quantile_rank,
     sketch_count,
     static_one_degree_quantiles,
 )
 from fillorder.graph import complete_graph, from_edges, path_graph, star_graph
+from sketch_reference import formula_bucket
 
 
 def bucket_of(q: float, eps: float) -> int:
@@ -165,3 +167,72 @@ def test_update_cost_proxy(rng):
     log2n = math.ceil(math.log2(25))
     total_updates = ds.ensemble.sketch_counters()["sketch_updates"]
     assert total_updates <= 50 * g.m * log2n**3 * eps**-2
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 5, 96])
+def test_estimate_equals_mean_of_minima_bit_for_bit(k):
+    # Q read from the rank -> -ln(1 - draw) table equals the mean of
+    # minima of the k minimum key values, before and after pivots
+    rng = np.random.default_rng([23, k])
+    for trial in range(4):
+        g = gnp(40, 0.15, rng)
+        ds = ApproxDegreeDS(g, 0.25, seed=trial, k=k)
+        remaining = set(range(g.n))
+        for v in [None, *rng.permutation(g.n)[:30]]:
+            if v is not None:
+                ds.pivot(int(v))
+                remaining.discard(int(v))
+            for u in remaining:
+                want = mean_of_minima(ds.ensemble.min_key_floats([u]))[0]
+                assert _bits(ds.estimate(u)) == _bits(want)
+
+
+def test_estimate_of_largest_keys_equals_mean_of_minima(monkeypatch):
+    # keys that round to the value 1.0 are read as the largest float below 1
+    monkeypatch.setattr(rngmod, "sketch_key_draws",
+                        lambda seed, first, count, n: np.full((count, n), 2**64 - 1,
+                                                              dtype=np.uint64))
+    ds = ApproxDegreeDS(from_edges(3, [(0, 1)]), 0.25, seed=0, k=4)
+    for u in range(3):
+        assert _bits(ds.estimate(u)) == _bits(mean_of_minima(ds.ensemble.min_key_floats([u]))[0])
+
+
+# Q is a mean of terms -ln(1 - x) with x >= 2^-64, so Q > 5.4e-20
+SMALLEST_Q = 2.0**-64
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.25, 1 / 64, 1e-3, 2e-4])
+def test_table_bucket_ids_match_formula_at_every_power(eps):
+    # at each power (1+eps)^-(i+1), one ulp below and one above, the binary
+    # search in the table equals the per-row formula; the values come in
+    # ascending bucket order, so the table grows many times on the way
+    ds = ApproxDegreeDS(path_graph(2), eps, seed=0, k=3)
+    base = 1.0 + eps
+    last = int(-math.log(SMALLEST_Q) / math.log(base)) + 2
+    powers = [base ** -(i + 1) for i in range(min(last, 1 << 16))]
+    powers += [base ** -(i + 1) for i in range(max(len(powers), last - 2000), last)]
+    qs = np.array(powers)
+    qs = np.stack([np.nextafter(qs, 2.0), qs, np.nextafter(qs, 0.0)], axis=1).ravel()
+    qs = qs[qs >= SMALLEST_Q]
+    sizes = {len(ds._neg_powers)}
+    for lo in range(0, len(qs), 4096):
+        chunk = qs[lo:lo + 4096]
+        got = ds._bucket_ids(chunk).tolist()
+        assert got == [formula_bucket(q, eps) for q in chunk.tolist()]
+        sizes.add(len(ds._neg_powers))
+    assert len(sizes) > 1
+    # one value at the smallest Q extends a fresh table in one call
+    fresh = ApproxDegreeDS(path_graph(2), eps, seed=0, k=3)
+    assert fresh._bucket_ids(np.array([SMALLEST_Q])).tolist() == \
+        [formula_bucket(SMALLEST_Q, eps)]
+
+
+def test_bucket_ids_of_large_q_are_zero():
+    ds = ApproxDegreeDS(path_graph(2), 0.25, seed=0, k=3)
+    qs = np.array([1 / 1.25, 1.0, 3.0, 44.0])
+    assert ds._bucket_ids(qs).tolist() == [formula_bucket(q, 0.25) for q in qs] == [0] * 4
+    assert ds._bucket_ids(np.empty(0)).tolist() == []

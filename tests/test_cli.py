@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -224,6 +228,29 @@ def test_env_seed_default(capsys, c4_file, monkeypatch):
     code, out, _ = run_cli(capsys, "order", "--input", c4_file, "--algorithm", "approx")
     assert code == 0
     assert json.loads(out)["seed"] == 41
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0x10"])
+def test_env_seed_not_an_integer_exits_2(capsys, c4_file, monkeypatch, value):
+    monkeypatch.setenv("FILLORDER_SEED", value)
+    code, out, err = run_cli(capsys, "order", "--input", c4_file, "--algorithm", "approx")
+    assert code == 2 and out == ""
+    assert err.startswith("fillorder:") and "FILLORDER_SEED" in err and "Traceback" not in err
+    # an explicit --seed does not read the variable
+    code, out, _ = run_cli(capsys, "gen", "--model", "grid2d", "--n", "4", "--seed", "3")
+    assert code == 0 and out
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+    monkeypatch.delenv("FILLORDER_SEED", raising=False)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "fillorder", "gen", "--model", "grid2d",
+                           "--n", "9"], capture_output=True, timeout=60, env=env)
+    code, out, _ = run_cli(capsys, "gen", "--model", "grid2d", "--n", "9")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()
 
 
 def test_verify_refused_above_limit(capsys, tmp_path):

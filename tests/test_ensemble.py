@@ -17,7 +17,7 @@ from fillorder.generators import grid2d_graph
 from fillorder.graph import from_edges, path_graph, star_graph
 from fillorder.ordering import approx_min_degree_sequence
 from fillorder.sketch import SketchEnsemble
-from sketch_reference import ReferenceApproxDegreeDS, ReferenceEnsemble
+from sketch_reference import ReferenceApproxDegreeDS, ReferenceEnsemble, TwoArrayEnsemble
 
 
 def _assert_same_state(ens, ref, remaining) -> None:
@@ -229,3 +229,40 @@ def test_blocked_gathers_match_reference(monkeypatch):
     rng = np.random.default_rng(15)
     g = gnp(30, 0.2, rng)
     _drive(g, rng.permutation(30), seed=5, k=4, grow={10: 3})
+
+
+def _drive_two_array(g, order, seed, k, grow=()) -> None:
+    """Pivot `order` on the one-array ensemble and on the two-array form
+    it replaced, comparing after every step the returned rows, the fill
+    ranks, both rank tables and every counter, `updates` and `informs`
+    included; `grow` maps a step to a number of copies added before it."""
+    ens = SketchEnsemble(g, seed, k)
+    ref = TwoArrayEnsemble(g, seed, k)
+    grow = dict(grow)
+    remaining = set(range(g.n))
+    for t, v in enumerate(order):
+        if t in grow:
+            assert ens.add_copies(grow[t]) == ref.add_copies(grow[t])
+        rows = sorted(remaining)
+        assert np.array_equal(ens._fill[rows], ref._fill[rows])
+        assert np.array_equal(ens.min_key_floats(rows), ref.min_key_floats(rows))
+        assert np.array_equal(ens.minimizers(rows), ref.minimizers(rows))
+        assert np.array_equal(ens.pivot(int(v)), ref.pivot(int(v)))
+        remaining.discard(int(v))
+        assert ens.sketch_counters() == ref.sketch_counters()
+
+
+@pytest.mark.parametrize("n,p", [(12, 0.3), (40, 0.1), (60, 0.05), (80, 0.15)])
+@pytest.mark.parametrize("k", [1, 7])
+def test_one_value_array_matches_two_array_form(n, p, k):
+    rng = np.random.default_rng([n, k, int(100 * p), 21])
+    for trial in range(3):
+        g = gnp(n, p, rng)
+        grow = {n // 3: 5, (2 * n) // 3: 2} if trial else {}
+        _drive_two_array(g, rng.permutation(n), seed=trial, k=k, grow=grow)
+
+
+def test_one_value_array_matches_two_array_form_on_grid():
+    g = grid2d_graph(144)
+    rng = np.random.default_rng(22)
+    _drive_two_array(g, rng.permutation(g.n), seed=3, k=12, grow={40: 12, 100: 1})

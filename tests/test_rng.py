@@ -1,6 +1,7 @@
-"""Differential tests: the batched sketch-key derivation in `rng` against
-numpy's own SeedSequence -> PCG64 -> Generator.integers, one copy at a
-time, on the installed numpy."""
+"""Differential tests: the batched stream derivation in `rng` against
+numpy's own SeedSequence -> PCG64 -> Generator, one stream at a time, on
+the installed numpy: sketch keys through Generator.integers, candidate
+streams through the draws the approx driver makes."""
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ def test_draws_match_substream_integers(seed, first, n):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_states_match_substream_bit_generator(seed):
-    states = rngmod.sketch_key_states(seed, 5, 4)
+    states = rngmod.stream_states(seed, rngmod.SKETCH_KEYS, 5, 4)
     for j, state in enumerate(states):
         assert state == rngmod.substream(seed, rngmod.SKETCH_KEYS, 5 + j).bit_generator.state
 
@@ -52,7 +53,7 @@ def test_negative_seed_rejected_like_seed_sequence():
 
 def test_copy_index_beyond_one_word_rejected():
     with pytest.raises(ValueError):
-        rngmod.sketch_key_states(0, 2**32 - 1, 2)
+        rngmod.stream_states(0, rngmod.SKETCH_KEYS, 2**32 - 1, 2)
 
 
 def _zero_at(position: int, inc: int) -> dict:
@@ -76,7 +77,7 @@ def _integers_from(state: dict, n: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [1, 2, 30])
 def test_raw_zero_is_redrawn_as_integers_does(n, monkeypatch):
-    states = [rngmod.sketch_key_states(3, 0, 1)[0],
+    states = [rngmod.stream_states(3, rngmod.SKETCH_KEYS, 0, 1)[0],
               _zero_at(0, inc=(12345 << 1) | 1),
               _zero_at(1, inc=(2**100 + 7) | 1)]
     for state, position in zip(states[1:], (0, 1)):
@@ -84,8 +85,8 @@ def test_raw_zero_is_redrawn_as_integers_does(n, monkeypatch):
         bitgen.state = state
         raw = bitgen.random_raw(position + 2)
         assert raw[position] == 0
-    monkeypatch.setattr(rngmod, "sketch_key_states",
-                        lambda seed, first, count: states[first:first + count])
+    monkeypatch.setattr(rngmod, "stream_states",
+                        lambda seed, namespace, first, count: states[first:first + count])
     got = rngmod.sketch_key_draws(3, 0, 3, n)
     for row, state in zip(got, states):
         want = _integers_from(state, n)
@@ -120,3 +121,42 @@ def test_ensemble_blocks_match_reference_sketches(monkeypatch):
     rows = [u for u in range(g.n) if u not in (5, 10)]
     assert np.array_equal(ens.minimizers(rows), ref.minimizers(rows))
     assert np.array_equal(ens.min_key_floats(rows), ref.min_key_floats(rows))
+
+
+CANDIDATE_SEEDS = [0, 1, 2**32 + 7, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", CANDIDATE_SEEDS)
+def test_candidate_states_match_substream_across_a_block(seed):
+    first = rngmod._STREAM_BLOCK - 5
+    states = rngmod.stream_states(seed, rngmod.CANDIDATES, first, 10)
+    for j, state in enumerate(states):
+        assert state == rngmod.substream(seed, rngmod.CANDIDATES, first + j).bit_generator.state
+
+
+def _candidate_draws(gen) -> list:
+    # the calls `ordering.trimmed_candidates` makes on a step's stream
+    return [gen.random(3).tolist(), gen.standard_exponential(), gen.standard_exponential(),
+            gen.integers([0, 1, 2, 5], [5, 6, 7, 2**40]).tolist(), gen.random()]
+
+
+@pytest.mark.parametrize("seed", CANDIDATE_SEEDS)
+def test_substreams_draw_as_fresh_generators(seed):
+    count = rngmod._STREAM_BLOCK + 4
+    checked = {0, 1, 2, rngmod._STREAM_BLOCK - 1, rngmod._STREAM_BLOCK, count - 1}
+    seen = 0
+    for t, gen in enumerate(rngmod.substreams(seed, rngmod.CANDIDATES, count)):
+        if t in checked:
+            assert _candidate_draws(gen) == \
+                _candidate_draws(rngmod.substream(seed, rngmod.CANDIDATES, t))
+        else:
+            gen.integers(0, 3, size=5)  # leftover state must not carry over
+        seen += 1
+    assert seen == count
+
+
+def test_substreams_small_blocks(monkeypatch):
+    monkeypatch.setattr(rngmod, "_STREAM_BLOCK", 3)
+    got = [_candidate_draws(gen) for gen in rngmod.substreams(9, rngmod.CANDIDATES, 8)]
+    assert got == [_candidate_draws(rngmod.substream(9, rngmod.CANDIDATES, t)) for t in range(8)]
+    assert list(rngmod.substreams(9, rngmod.CANDIDATES, 0)) == []
