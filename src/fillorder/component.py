@@ -9,9 +9,9 @@ O(log n) times over a full elimination.
 Observers (the sketch copies) receive callbacks at the points where the
 key-propagation protocol needs the pre-mutation neighbor sets:
 
-  on_pivot_begin(v, nr, nc)   after v is detached and re-registered as a
-                              component vertex; nr/nc are snapshots of its
-                              former remaining/component neighborhoods
+  on_pivot_begin(v, nr)       after v is detached and re-registered as a
+                              component vertex; nr is a snapshot of its
+                              former remaining neighborhood
   on_unlink(w, v, nrem_w)     after v left Nrem(w), before w is melded
   on_meld(winner, loser, nrem_winner, nrem_loser)
                               before the two components' sets are merged;
@@ -132,7 +132,7 @@ class ComponentGraph:
             self._ncomp[y].add(v)
 
         for obs in observers:
-            obs.on_pivot_begin(v, nr, nc)
+            obs.on_pivot_begin(v, nr)
 
         cur = v
         for w in nc:

@@ -120,9 +120,9 @@ def load_edge_list(source, one_based: bool = False) -> StaticGraph:
 
 
 def load_graph(source, format: str, one_based: bool = False) -> StaticGraph:
-    if format in ("mtx", "matrix-market"):
+    if format == "mtx":
         return load_matrix_market(source)
-    if format in ("edges", "edge-list"):
+    if format == "edges":
         return load_edge_list(source, one_based=one_based)
     raise ValueError(f"unknown format {format!r}")
 

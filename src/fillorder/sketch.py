@@ -37,12 +37,13 @@ block with one stable argsort along its rows.
 
 `DynamicSketch` is one copy kept the per-copy way.  Its keys are (draw,
 vertex id) tuples, which order as the ensemble's ranks do, so it has no
-size limit.  Each remaining vertex holds one key slot per contributor
-(itself, each remaining neighbor, each adjacent component), with the
-slot keys in a `SortedList`; each live component keeps the keys of its
-Nrem in another.  Slots are updated eagerly through the observer
-callbacks of ComponentGraph.  It is the reference the ensemble is tested
-against and backs `new_sketch`; the package does not export it.
+size limit.  Each remaining vertex holds a dict from contributor (itself,
+each remaining neighbor, each adjacent component) to key slot, and reads
+its minimum as the least slot; a live component's minimum is read from
+the Nrem set the component graph passes to each callback.  Slots are
+updated eagerly through the observer callbacks of ComponentGraph.  It is
+the reference the ensemble is tested against and backs `new_sketch`; the
+package does not export it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from sortedcontainers import SortedList
 
 from . import rng as rngmod
 from .component import ComponentGraph
@@ -80,17 +80,13 @@ class DynamicSketch:
         elif len(draws) != g.n:
             raise ValueError("need one key draw per vertex")
         self._key = [(int(d), v) for v, d in enumerate(draws)]
-        # per remaining vertex: contributor -> key slot, and the slot keys sorted
+        # per remaining vertex: contributor -> key slot
         self._src: list[dict | None] = []
-        self._fill: list[SortedList | None] = []
         for u in range(g.n):
             src = {u: self._key[u]}
             for y in g.adj[u]:
                 src[y] = self._key[y]
             self._src.append(src)
-            self._fill.append(SortedList(src.values()))
-        # keys of Nrem(x), per live component x
-        self._rkeys: list[SortedList | None] = [None] * g.n
         # minimum observed at first touch within the current pivot, per vertex
         self._pre_min: dict[int, tuple[int, int]] = {}
         self.counters = {
@@ -106,13 +102,17 @@ class DynamicSketch:
     def key_of(self, v: int) -> tuple[int, int]:
         return self._key[v]
 
+    def _nrem_min(self, nrem) -> tuple[int, int] | None:
+        """Minimum key over a component's remaining neighbors."""
+        return min(map(self._key.__getitem__, nrem), default=None)
+
     # ---------------- queries ----------------
 
     def _min(self, u: int) -> tuple[int, int]:
-        fm = self._fill[u]
-        if fm is None:
+        src = self._src[u]
+        if src is None:
             raise ValueError(f"vertex {u} is not remaining")
-        return fm[0]
+        return min(src.values())
 
     def query_min(self, u: int) -> int:
         """Vertex holding the minimum key over u's closed fill neighborhood."""
@@ -124,55 +124,46 @@ class DynamicSketch:
     # ---------------- slot updates with change tracking ----------------
 
     def _slot_set(self, y: int, source: int, value: tuple[int, int]) -> None:
-        src, fm = self._src[y], self._fill[y]
+        src = self._src[y]
         if y not in self._pre_min:
-            self._pre_min[y] = fm[0]
-        old = src.get(source)
-        if old is not None:
-            fm.remove(old)
+            self._pre_min[y] = min(src.values())
         src[source] = value
-        fm.add(value)
         self.counters["updates"] += 1
 
     def _slot_pop(self, y: int, source: int) -> tuple[int, int]:
-        fm = self._fill[y]
+        src = self._src[y]
         if y not in self._pre_min:
-            self._pre_min[y] = fm[0]
-        value = self._src[y].pop(source)
-        fm.remove(value)
+            self._pre_min[y] = min(src.values())
         self.counters["updates"] += 1
-        return value
+        return src.pop(source)
 
     # ---------------- observer protocol ----------------
+    #
+    # `updates` also counts 1 per unlink and 1 per loser-only neighbor of
+    # a meld: the component-key moves that criterion 13 bounds, not a
+    # stored structure (a component's minimum is read from its Nrem set).
 
-    def on_pivot_begin(self, v: int, nr: list[int], nc: list[int]) -> None:
-        key = self._key
-        rk = SortedList(key[y] for y in nr)
-        self._rkeys[v] = rk
+    def on_pivot_begin(self, v: int, nr: list[int]) -> None:
         for y in nr:
             self._slot_pop(y, v)
         if nr:
-            mv = rk[0]
+            mv = self._nrem_min(nr)
             for y in nr:
                 self._slot_set(y, v, mv)
-        self._src[v] = self._fill[v] = None
+        self._src[v] = None
 
     def on_unlink(self, w: int, v: int, nrem_w) -> None:
-        rk = self._rkeys[w]
-        before = rk[0]
-        rk.remove(self._key[v])
         self.counters["updates"] += 1
-        after = rk[0] if rk else None
-        if before != after and len(nrem_w):
+        # the minimum before the unlink was min(after, key[v])
+        after = self._nrem_min(nrem_w)
+        if after is not None and self._key[v] < after:
             self.counters["informs"] += len(nrem_w)
             for y in nrem_w:
                 self._slot_set(y, w, after)
 
     def on_meld(self, winner: int, loser: int, nrem_winner, nrem_loser) -> None:
-        rw = self._rkeys[winner]
-        rl = self._rkeys[loser]
-        mw = rw[0] if rw else None
-        ml = rl[0] if rl else None
+        mw = self._nrem_min(nrem_winner)
+        ml = self._nrem_min(nrem_loser)
         if ml is not None and (mw is None or ml < mw):
             # winner's side sees a smaller component minimum
             self.counters["informs"] += len(nrem_winner)
@@ -184,16 +175,13 @@ class DynamicSketch:
                 self._slot_set(y, loser, mw)
         # equal minima arise when both sides share the minimizing neighbor
 
-        key = self._key
         for y in nrem_loser:
             value = self._slot_pop(y, loser)
             if winner not in self._src[y]:
                 self._slot_set(y, winner, value)
             # else: duplicate contributor slot dies; both carry the merged min
             if y not in nrem_winner:
-                rw.add(key[y])
                 self.counters["updates"] += 1
-        self._rkeys[loser] = None
         self.counters["melds"] += 1
 
     def finish_pivot(self) -> list[int]:
@@ -203,10 +191,10 @@ class DynamicSketch:
         A vertex counts as changed only if its minimum after the pivot
         differs from the one before; transient flips inside the pivot do
         not register."""
-        fill = self._fill
+        srcs = self._src
         out = sorted(
             y for y, pre in self._pre_min.items()
-            if fill[y] is not None and fill[y][0] != pre
+            if srcs[y] is not None and min(srcs[y].values()) != pre
         )
         self._pre_min.clear()
         self.counters["changed_total"] += len(out)

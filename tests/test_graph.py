@@ -82,3 +82,8 @@ def test_roundtrip_through_writers():
     buf = io.StringIO()
     write_matrix_market(g, buf)
     assert load_graph(buf.getvalue(), "mtx") == g
+
+
+def test_unknown_format_name_is_refused():
+    with pytest.raises(ValueError, match="unknown format 'edge-list'"):
+        load_graph("0 1\n", "edge-list")
